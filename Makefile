@@ -93,25 +93,28 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime $(FUZZTIME) ./internal/can/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDIMACS$$' -fuzztime $(FUZZTIME) ./internal/sat/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedDepFunc$$' -fuzztime $(FUZZTIME) ./internal/depfunc/
+	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime $(FUZZTIME) ./internal/hypothesis/
 	$(GO) test -run '^$$' -fuzz '^FuzzLearn$$' -fuzztime $(FUZZTIME) ./internal/conformance/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 ## bench: regenerate the Section 3.4 runtime table and record it as
-## benchmark telemetry (BENCH_local.json at the repo root), including
-## the sequential-vs-parallel speedup columns at 4 workers. Bound 50
+## benchmark telemetry (BENCH_local.json at the repo root). Bound 50
 ## rides along beyond the paper's column list because it is the CI
 ## regression gate's comparison point (bench-regression in ci.yml).
 ## Gate a change against the committed baseline with:
 ##   go run ./cmd/bbbench -compare BENCH_local.json -threshold 10%
 bench:
-	$(GO) run ./cmd/bbbench -workers 4 -bounds 1,4,16,32,50,64,100,120,150 -json BENCH_local.json
+	$(GO) run ./cmd/bbbench -bounds 1,4,16,32,50,64,100,120,150 -json BENCH_local.json
 
 ## microbench: the go-test microbenchmarks, including the
-## zero-allocation observer guard (compare nil vs nop allocs/op) and
-## the DepFunc Key-vs-Fingerprint dedup-cost comparison.
+## zero-allocation observer guard (compare nil vs nop allocs/op), the
+## DepFunc Key-vs-Fingerprint dedup-cost comparison and the warm
+## engine's generalize+postprocess period at bound 150
+## (BenchmarkGeneralizeB150; 0 allocs/op expected).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/learner/ ./internal/depfunc/
+	$(GO) test -run '^$$' -bench '^BenchmarkGeneralizeB150$$' -benchmem ./internal/engine/
 
 tidy:
 	$(GO) mod tidy

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -38,7 +37,6 @@ func main() {
 		boundsF = flag.String("bounds", "1,4,16,32,64,100,120,150", "comma-separated heuristic bounds (the paper's table)")
 		exact   = flag.Bool("exact", false, "also run the exact algorithm (feasible only with -config lite)")
 		repeat  = flag.Int("repeat", 3, "measurement repetitions per bound (median and p95 reported)")
-		workers = flag.Int("workers", runtime.NumCPU(), "engine worker-pool size; values > 1 add a parallel run per bound with measured speedup vs sequential")
 		periods = flag.Int("periods", modelgen.CaseStudyPeriods, "simulated periods")
 		seed    = flag.Int64("seed", modelgen.CaseStudySeed, "simulation seed")
 
@@ -120,8 +118,7 @@ func main() {
 	fmt.Printf("%8s %14s %14s %12s %10s %10s %8s\n",
 		"Bound", "Median", "P95", "Hypotheses", "Converged", "PeakLive", "Merges")
 	var exactLUB *modelgen.DepFunc
-	measure := func(name string, bound, w int, opt modelgen.LearnOptions) *modelgen.LearnResult {
-		opt.Workers = w
+	measure := func(name string, bound int, opt modelgen.LearnOptions) *modelgen.LearnResult {
 		var res *modelgen.LearnResult
 		samples := modelgen.BenchMeasure(*repeat, func() {
 			r, err := modelgen.Learn(out.Trace, opt)
@@ -131,7 +128,6 @@ func main() {
 			res = r
 		})
 		run := modelgen.BenchSummarize(name, bound, samples)
-		run.Workers = w
 		run.Hypotheses = len(res.Hypotheses)
 		run.Converged = res.Converged
 		run.PeakLive = res.Stats.Peak
@@ -153,22 +149,11 @@ func main() {
 		return res
 	}
 	if *exact {
-		res := measure("exact", 0, 1, modelgen.LearnOptions{Policy: pol, MaxHypotheses: 10_000_000, Observer: obsv})
+		res := measure("exact", 0, modelgen.LearnOptions{Policy: pol, MaxHypotheses: 10_000_000, Observer: obsv})
 		exactLUB = res.LUB
 	}
 	for _, b := range bounds {
-		seq := measure(fmt.Sprintf("bound_%d", b), b, 1, modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
-		if *workers > 1 {
-			seqMedian := file.Runs[len(file.Runs)-1].MedianNS
-			par := measure(fmt.Sprintf("bound_%d_w%d", b, *workers), b, *workers,
-				modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
-			run := &file.Runs[len(file.Runs)-1]
-			run.SpeedupVsSequential = float64(seqMedian) / float64(run.MedianNS)
-			fmt.Printf("%8s parallel speedup at workers=%d: %.2fx\n", "", *workers, run.SpeedupVsSequential)
-			if !par.LUB.Equal(seq.LUB) {
-				fatalf("bound %d: parallel LUB diverges from sequential (determinism violation)", b)
-			}
-		}
+		measure(fmt.Sprintf("bound_%d", b), b, modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
 	}
 	if exactLUB != nil {
 		fmt.Println("\n(the paper reports 630.997 s for exact vs 0.220–19.048 s for the")

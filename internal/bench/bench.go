@@ -36,7 +36,10 @@ import (
 //	    allocation deltas).
 //	2 — adds per-run Workers (engine worker-pool size) and
 //	    SpeedupVsSequential (sequential median / parallel median for
-//	    the same sweep point).
+//	    the same sweep point). The engine has since lost its worker
+//	    pool: new runs are all Workers 1, while older files keep
+//	    their bound_N_wM runs and still read; Compare matches runs by
+//	    name, so those runs are simply not compared.
 const SchemaVersion = 2
 
 // Host records where a benchmark ran.
@@ -77,8 +80,9 @@ type Run struct {
 	Name string `json:"name"`
 	// Bound is the heuristic bound b; 0 means the exact algorithm.
 	Bound int `json:"bound"`
-	// Workers is the engine worker-pool size the run used (1 =
-	// sequential; the learner's default).
+	// Workers is the engine worker-pool size the run used. It is 1
+	// for every run bbbench writes now; files from before the pool
+	// was removed may hold larger values.
 	Workers int `json:"workers"`
 	// SpeedupVsSequential is sequential-median / this-run-median for
 	// sweep points measured both ways; 0 when not measured. Values
@@ -248,7 +252,7 @@ func Summarize(name string, bound int, samples []Sample) Run {
 	return Run{
 		Name:        name,
 		Bound:       bound,
-		Workers:     1, // sequential unless the caller overrides
+		Workers:     1, // the engine is sequential
 		Repetitions: len(samples),
 		MedianNS:    ns[len(ns)/2],
 		P95NS:       ns[p95Index(len(ns))],

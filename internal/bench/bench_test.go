@@ -231,3 +231,41 @@ func TestNewHostPopulated(t *testing.T) {
 		t.Errorf("host metadata incomplete: %+v", h)
 	}
 }
+
+// TestCompareReadsLegacyWorkerRuns: the committed baseline predates
+// the engine's single-owner rewrite and still carries bound_N_w4 runs
+// measured with a worker pool. It must keep reading, and comparing a
+// current file (sequential runs only) against it must compare the
+// sequential runs and skip the worker runs.
+func TestCompareReadsLegacyWorkerRuns(t *testing.T) {
+	base, err := ReadFile("../../BENCH_local.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := 0
+	for _, r := range base.Runs {
+		if r.Workers > 1 {
+			legacy++
+		}
+	}
+	if legacy == 0 {
+		t.Fatal("baseline has no worker-pool runs; this test no longer covers the legacy shape")
+	}
+	cur := New("current")
+	for _, r := range base.Runs {
+		if r.Workers == 1 {
+			r.MedianNS *= 3 // a slowdown on every compared run
+			r.P95NS *= 3
+			cur.Runs = append(cur.Runs, r)
+		}
+	}
+	regs := Compare(base, cur, 0.10)
+	for _, r := range regs {
+		if strings.Contains(r.Run, "_w") {
+			t.Errorf("worker-pool run %s was compared", r.Run)
+		}
+	}
+	if want := 2 * len(cur.Runs); len(regs) != want {
+		t.Errorf("%d regressions, want %d (median and p95 of every sequential run)", len(regs), want)
+	}
+}

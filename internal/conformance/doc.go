@@ -35,7 +35,8 @@
 //     maintained fingerprint never drifts from a from-scratch
 //     recomputation (witnessed through a rebuilt clone).
 //   - Metamorphic invariances (oracle "metamorphic"): the learned
-//     result is invariant under worker-count changes, uniform message
+//     result is deterministic (a second run and a run restored from a
+//     mid-trace snapshot agree) and invariant under uniform message
 //     relabeling, uniform time translation, and — in exact mode, where
 //     the model of computation makes the hypothesis space
 //     order-independent — permutation of the period sequence.

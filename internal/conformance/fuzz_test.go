@@ -23,8 +23,8 @@ const (
 // the verification layer. Nothing may panic, and every result must
 // satisfy the universal conformance properties — VerifyResults lets
 // only matching hypotheses through, exact-mode hypotheses match their
-// own trace, the learned set is invariant under worker count, and the
-// verifier's report stays internally consistent.
+// own trace, the learned set survives a snapshot restore unchanged,
+// and the verifier's report stays internally consistent.
 func FuzzLearn(f *testing.F) {
 	f.Add(trace.PaperFigure2().String())
 	if tr, err := simTrace(model.Figure1(), 4, 3); err == nil {
@@ -74,12 +74,12 @@ func FuzzLearn(f *testing.F) {
 			t.Fatalf("verifier inconsistency: %v\ninput:\n%s", vs[0], input)
 		}
 
-		workers, err := learner.Learn(tr, learner.Options{Bound: 4, Workers: 4})
+		restored, err := learnRestored(tr, learner.Options{Bound: 4}, len(tr.Periods)/2)
 		if err != nil {
-			t.Fatalf("worker fan-out failed where serial learn succeeded: %v\ninput:\n%s", err, input)
+			t.Fatalf("snapshot-restored run failed where the straight run succeeded: %v\ninput:\n%s", err, input)
 		}
-		if got, want := resultSig(workers), resultSig(bounded); !equalSig(got, want) {
-			t.Fatalf("result depends on worker count:\n got %v\nwant %v\ninput:\n%s", got, want, input)
+		if got, want := resultSig(restored), resultSig(bounded); !equalSig(got, want) {
+			t.Fatalf("result changes across a snapshot restore:\n got %v\nwant %v\ninput:\n%s", got, want, input)
 		}
 
 		// The bounded-vs-exact envelope containment is deliberately NOT

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,8 +17,10 @@ import (
 // Metamorphic checks result invariance under transformations that the
 // model of computation says cannot matter:
 //
-//   - worker count: the engine's fan-out is proven result-invariant,
-//     so Workers ∈ {1, 4} must produce identical results;
+//   - determinism: a run is a pure function of its trace and options,
+//     so a second run in the same process, and a run checkpointed
+//     halfway (snapshot written, read back and restored) and then
+//     continued, must produce identical results;
 //   - message relabeling: occurrence labels are opaque, so renaming
 //     every message uniformly must not change anything;
 //   - time translation: candidate feasibility uses only comparisons
@@ -43,8 +46,7 @@ func Metamorphic(tr *trace.Trace, opt learner.Options) ([]Violation, error) {
 	want := resultSig(base)
 	var out []Violation
 
-	check := func(property string, mutated *trace.Trace, mopt learner.Options) {
-		r, err := learner.Learn(mutated, mopt)
+	compare := func(property string, r *learner.Result, err error) {
 		if err != nil {
 			out = append(out, violationf(property, "transformed run failed: %v", err))
 			return
@@ -53,10 +55,14 @@ func Metamorphic(tr *trace.Trace, opt learner.Options) ([]Violation, error) {
 			out = append(out, violationf(property, "result changed:\n got %v\nwant %v", got, want))
 		}
 	}
+	check := func(property string, mutated *trace.Trace, mopt learner.Options) {
+		r, err := learner.Learn(mutated, mopt)
+		compare(property, r, err)
+	}
 
-	wopt := opt
-	wopt.Workers = 4
-	check("metamorphic/worker-count", tr, wopt)
+	check("metamorphic/rerun", tr, opt)
+	r, err := learnRestored(tr, opt, len(tr.Periods)/2)
+	compare("metamorphic/snapshot-restore", r, err)
 	check("metamorphic/message-relabel", relabelMessages(tr), opt)
 	check("metamorphic/time-translation", translate(tr, 1_000_000), opt)
 	if opt.Bound <= 0 {
@@ -64,6 +70,43 @@ func Metamorphic(tr *trace.Trace, opt learner.Options) ([]Violation, error) {
 		check("metamorphic/period-permutation", permutePeriods(tr, shuffled(len(tr.Periods), 0xbadc0de)), opt)
 	}
 	return out, nil
+}
+
+// learnRestored learns tr online, checkpoints the session after the
+// first at periods through a snapshot round trip, restores it and
+// feeds the remaining periods.
+func learnRestored(tr *trace.Trace, opt learner.Options, at int) (*learner.Result, error) {
+	if opt.VerifyResults {
+		// Learn verifies against the whole trace; an online session
+		// verifies against its retained window.
+		opt.RetainPeriods = max(opt.RetainPeriods, len(tr.Periods))
+	}
+	o, err := learner.NewOnline(tr.Tasks, opt)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range tr.Periods {
+		if i == at {
+			snap, err := o.Snapshot()
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			if err := learner.WriteSnapshot(&buf, snap); err != nil {
+				return nil, err
+			}
+			if snap, err = learner.ReadSnapshot(&buf); err != nil {
+				return nil, err
+			}
+			if o, err = learner.RestoreOnline(snap, opt); err != nil {
+				return nil, err
+			}
+		}
+		if err := o.AddPeriod(p); err != nil {
+			return nil, err
+		}
+	}
+	return o.Result()
 }
 
 // resultSig collapses a learning result into a comparable signature:

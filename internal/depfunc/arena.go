@@ -18,11 +18,16 @@ import (
 // survive GC cycles, so a steady-state run reaches zero buffer
 // allocations instead of periodically refilling a drained pool.
 //
+// The freelists are shared by every goroutine in the process: each
+// stream of a server learns on its own owner goroutine, and they all
+// draw from and return to the same classes, hence the mutex.
+//
 // Ownership rules (also documented on the DepFunc methods):
 //
-//   - every buffer carries its sharer count in word 0, maintained with
-//     atomics so workers may CloneShared/mutate hypotheses that share
-//     a buffer concurrently;
+//   - every buffer carries its sharer count in word 0. It is a plain
+//     counter: a buffer and all of its copy-on-write aliases belong to
+//     one owner (an engine session, or a caller's own matrices) and
+//     never cross goroutines — anything handed elsewhere is a Clone;
 //   - acquire hands out buffers with a count of 1;
 //   - Release decrements and recycles at zero. Only release matrices
 //     with no aliases outside the refcount (a matrix held by a dedup

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"github.com/blackbox-rt/modelgen/internal/lattice"
 )
@@ -25,12 +24,13 @@ const laneMask = (1 << lattice.PackedBits) - 1
 // word, in the characteristic encoding of internal/lattice/packed.go,
 // so Join/Meet/Leq/Equal/Weight run word-parallel instead of per-cell.
 // Matrices additionally share their backing buffer copy-on-write: see
-// CloneShared, Release and arena.go for the ownership rules.
+// ShareInto, Release and arena.go for the ownership rules.
 type DepFunc struct {
 	ts *TaskSet
-	// w backs the matrix: w[0] is the buffer's atomic reference count
-	// (for copy-on-write sharing), w[1:] hold the packed entries in
-	// row-major lane order. Lanes past n² are always zero.
+	// w backs the matrix: w[0] is the buffer's reference count (for
+	// copy-on-write sharing; a plain counter, since every sharer lives
+	// on one goroutine), w[1:] hold the packed entries in row-major
+	// lane order. Lanes past n² are always zero.
 	w []uint64
 	// fp is the Zobrist fingerprint of the entries, maintained
 	// incrementally by every mutation (see fingerprint.go). Invariant:
@@ -149,7 +149,7 @@ func (d *DepFunc) MustGet(t1, t2 string) lattice.Value {
 
 // Clone returns a deep copy sharing the (immutable) task set. Use it
 // when the copy escapes the engine (snapshots, results); inside the
-// generalization loop prefer CloneShared.
+// generalization loop prefer ShareInto.
 func (d *DepFunc) Clone() *DepFunc {
 	nd := new(DepFunc)
 	d.CloneInto(nd)
@@ -165,22 +165,14 @@ func (d *DepFunc) CloneInto(dst *DepFunc) {
 	*dst = DepFunc{ts: d.ts, w: nw, fp: d.fp}
 }
 
-// CloneShared returns a copy that shares d's backing buffer
-// copy-on-write: the copy costs one header allocation and an atomic
-// increment, and the buffer is only duplicated if either alias is
-// later mutated. Safe to call concurrently from multiple goroutines.
-func (d *DepFunc) CloneShared() *DepFunc {
-	nd := new(DepFunc)
-	d.ShareInto(nd)
-	return nd
-}
-
 // ShareInto initializes dst as a copy-on-write alias of d without
 // allocating a header (dst must not hold a live buffer — any previous
 // buffer interest is leaked, not released). The hypothesis layer uses
-// it to fill recycled, embedded headers.
+// it to fill recycled, embedded headers. The refcount is not atomic:
+// d and all its aliases must stay on one goroutine (the engine that
+// owns them); hand another goroutine a Clone instead.
 func (d *DepFunc) ShareInto(dst *DepFunc) {
-	atomic.AddUint64(&d.w[0], 1)
+	d.w[0]++
 	*dst = DepFunc{ts: d.ts, w: d.w, fp: d.fp}
 }
 
@@ -199,7 +191,7 @@ func (d *DepFunc) Release() bool {
 	}
 	b := d.w
 	d.w = nil
-	if atomic.AddUint64(&b[0], ^uint64(0)) == 0 {
+	if b[0]--; b[0] == 0 {
 		releaseBuf(b)
 	}
 	return true
@@ -207,26 +199,15 @@ func (d *DepFunc) Release() bool {
 
 // ensureOwned makes d the sole owner of its buffer, duplicating it
 // first if it is shared. Every mutation path calls it before writing.
-// Only the owner of d may mutate it, so a refcount of 1 cannot be
-// raced upward by another goroutine.
 func (d *DepFunc) ensureOwned() {
-	if atomic.LoadUint64(&d.w[0]) == 1 {
+	if d.w[0] == 1 {
 		return
 	}
 	nw := acquire(len(d.w), false)
 	copy(nw[1:], d.w[1:])
-	old := d.w
+	d.w[0]--
 	d.w = nw
-	if atomic.AddUint64(&old[0], ^uint64(0)) == 0 {
-		// Another sharer released between the load and the decrement;
-		// the buffer is ours to recycle after all.
-		releaseBuf(old)
-	}
 }
-
-// Shared reports whether d currently shares its buffer with another
-// matrix (diagnostic; the answer can change concurrently).
-func (d *DepFunc) Shared() bool { return atomic.LoadUint64(&d.w[0]) > 1 }
 
 // Equal reports whether two dependency functions over the same task
 // set have identical entries.
@@ -275,12 +256,13 @@ func (d *DepFunc) Join(other *DepFunc) *DepFunc {
 }
 
 // JoinWith joins other into d in place, a word at a time (join is
-// bitwise OR in the packed encoding). The fingerprint is updated only
-// for the lanes that actually changed, and a shared buffer is only
-// duplicated once the first change lands — so the converged steady
-// state, joining a function that adds nothing, does no hash work and
-// no copying at all.
-func (d *DepFunc) JoinWith(other *DepFunc) {
+// bitwise OR in the packed encoding), and returns how much the join
+// raised d's Weight. The fingerprint and the weight delta are updated
+// only for the words that actually changed, and a shared buffer is
+// only duplicated once the first change lands — so the converged
+// steady state, joining a function that adds nothing, does no hash
+// work and no copying at all.
+func (d *DepFunc) JoinWith(other *DepFunc) (dw int) {
 	ow := other.w[1:]
 	owned := false
 	for i := range ow {
@@ -294,8 +276,10 @@ func (d *DepFunc) JoinWith(other *DepFunc) {
 			owned = true
 		}
 		d.fp ^= laneDiffHash(i*lattice.PackedLanes, old, nw)
+		dw += lattice.WeightWord(nw) - lattice.WeightWord(old)
 		d.w[1+i] = nw
 	}
+	return dw
 }
 
 // Meet returns the pointwise greatest lower bound as a new function.

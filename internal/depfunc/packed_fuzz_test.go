@@ -19,6 +19,9 @@ func FuzzPackedDepFunc(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 1, 6, 2, 0, 0, 0, 3, 4, 5, 4, 0, 0, 5, 1, 1})
 	f.Add([]byte{11, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5})
 	f.Add([]byte{5})
+	// A Set then a JoinWith onto the same word: the join's weight delta
+	// is not the weight of the bits it adds.
+	f.Add([]byte("0010200"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -70,7 +73,12 @@ func FuzzPackedDepFunc(f *testing.F) {
 				r.JoinAt(i, j, v)
 				check(step, "joinat")
 			case 2:
-				d.JoinWith(d2)
+				// The returned delta is what Merge adds to its cached
+				// weight instead of recomputing it.
+				before := d.Weight()
+				if got, want := before+d.JoinWith(d2), d.Weight(); got != want {
+					t.Fatalf("step %d: JoinWith weight delta gives %d, Weight() %d", step, got, want)
+				}
 				r.JoinWith(r2)
 				check(step, "joinwith")
 			case 3:
@@ -84,9 +92,10 @@ func FuzzPackedDepFunc(f *testing.F) {
 				// must materialize a private copy without corrupting
 				// the other.
 				d2.Release()
-				d2 = d.CloneShared()
+				d2 = new(DepFunc)
+				d.ShareInto(d2)
 				r2 = r.Clone()
-				check(step, "cloneshared")
+				check(step, "shareinto")
 			case 5:
 				d2.Release()
 				r2 = NewReference(ts)

@@ -222,12 +222,7 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 	}
 	pl := e.stats.PeriodLive
 	e.stats = d.Stats
-	if cap := e.cfg.PeriodLiveCap; cap > 0 && len(pl) >= cap {
-		copy(pl, pl[len(pl)-cap+1:])
-		e.stats.PeriodLive = append(pl[:cap-1], d.Live)
-	} else {
-		e.stats.PeriodLive = append(pl, d.Live)
-	}
+	e.stats.PeriodLive = e.appendPeriodLive(pl, d.Live)
 	e.resetDeltaBase()
 	return nil
 }

@@ -27,18 +27,20 @@
 //
 // # Parallelism and determinism
 //
-// With Config.Workers > 1 each generalize stage spawns one worker
-// pool and, per message, partitions the live hypothesis set into
-// Workers contiguous chunks: child generation for each parent is
-// independent (Assume never mutates the parent or any shared state),
-// each chunk fills its own reusable flat child buffer, and because
-// the chunks tile the parent list in order, the result is gathered
-// strictly in (parent, candidate-pair) order — the exact order the
-// sequential loop produces. Deduplication, statistics, observer
-// events and bounded merging all happen during the sequential gather,
-// so the output is bit-identical to the sequential path for any
-// worker count, in both the exact and the bounded mode. Workers <= 1
-// selects the allocation-lean sequential loop.
+// An Engine is single-owner: one goroutine runs every stage, and the
+// engine owns and reuses all of its working memory (one
+// hypothesis.Arena, the work list, the dedup set, the output
+// buffers). Matrix buffers are shared copy-on-write under a plain
+// refcount; nothing sharing one leaves the engine (snapshots and
+// results are deep copies or end the session). Parallelism lives
+// across streams and runs, where it pays: a server gives each stream
+// its own engine on its own goroutine. An intra-period worker pool
+// measured slower than this loop on two real cores and was removed.
+//
+// Children are generated in (parent, candidate-pair) order and work
+// list ties break first in, first out, so a run is a pure function
+// of its trace and configuration: two runs, or a run restored from a
+// snapshot, give bit-identical tables and event streams.
 //
 // # Fingerprints
 //
@@ -92,11 +94,6 @@ type Config struct {
 	// ErrTooManyHypotheses when the working set grows beyond this
 	// size. Zero means unlimited.
 	MaxHypotheses int
-
-	// Workers is the size of the per-message fan-out worker pool.
-	// Values <= 1 select the sequential path. Results are identical
-	// for every value (see the package comment).
-	Workers int
 
 	// PeriodLiveCap bounds the Stats.PeriodLive series to the most
 	// recent N periods (older entries are discarded). Zero keeps the
@@ -170,8 +167,7 @@ type Stats struct {
 // Engine is the period-processing core: the working hypothesis set
 // D_cur, the cumulative execution-violation history and the run
 // statistics. It is not safe for concurrent use by multiple
-// goroutines (its internal worker pool is an implementation detail of
-// a single ProcessPeriod call).
+// goroutines; see the package comment.
 type Engine struct {
 	ts    *depfunc.TaskSet
 	cfg   Config
@@ -181,50 +177,40 @@ type Engine struct {
 	// base is the incremental-checkpoint capture baseline (delta.go).
 	base deltaBase
 
-	// seen is the dedup set reused (via Reset) by every message's
-	// gather and by forgetDeadAssumptions; reuse keeps the hot loop
-	// free of per-message map allocations.
-	seen *hypothesis.Dedup
-	// arenas bump-allocate assumption cons cells: one arena per
-	// fan-out worker chunk plus arenas[Workers] for the sequential
-	// path, the gather's merges and assumption forgetting. All are
-	// reset at the period boundary, right after ClearAssumptions has
-	// severed every surviving reference.
-	arenas []*hypothesis.Arena
-	// scratch is the sequential fan-out's reusable child buffer.
+	arena hypothesis.Arena
+	// seen serves every message's gather, forgetDeadAssumptions and
+	// pruning; each use resets it, so between uses it pins nothing.
+	seen hypothesis.Dedup
+	wl   workList
+	// Each message writes gen[flip], then flips it, so it never
+	// writes the buffer its parents are read from. kept is
+	// postprocess's output, e.cur between periods. scratch holds one
+	// parent's children; live backs the live-suffix sets.
+	gen     [2][]*hypothesis.Hypothesis
+	flip    int
+	kept    []*hypothesis.Hypothesis
 	scratch []*hypothesis.Hypothesis
+	live    []uint64
 }
-
-// mainArena returns the arena of the engine's own goroutine (the
-// sequential fan-out, gather and postprocess paths).
-func (e *Engine) mainArena() *hypothesis.Arena { return e.arenas[e.cfg.Workers] }
 
 // New starts an engine session over the task set: the working set is
 // {d⊥}. It announces the session to the observer with an EngineStart
-// event carrying the effective worker count and bound.
+// event carrying the bound.
 func New(ts *depfunc.TaskSet, cfg Config) *Engine {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	bottom := hypothesis.Bottom(ts)
 	if cfg.Provenance {
 		bottom.EnableProvenance()
 	}
-	e := &Engine{
-		ts:     ts,
-		cfg:    cfg,
-		hist:   make([]bool, ts.Len()*ts.Len()),
-		cur:    []*hypothesis.Hypothesis{bottom},
-		seen:   hypothesis.NewDedup(),
-		arenas: make([]*hypothesis.Arena, cfg.Workers+1),
-	}
-	for i := range e.arenas {
-		e.arenas[i] = new(hypothesis.Arena)
-	}
-	e.stats.Peak = 1
+	return start(ts, cfg, make([]bool, ts.Len()*ts.Len()), []*hypothesis.Hypothesis{bottom}, Stats{Peak: 1})
+}
+
+// start assembles a session around an initial state and announces it.
+func start(ts *depfunc.TaskSet, cfg Config, hist []bool, cur []*hypothesis.Hypothesis, stats Stats) *Engine {
+	e := &Engine{ts: ts, cfg: cfg, hist: hist, cur: cur, stats: stats}
+	e.wl = workList{bound: cfg.Bound, stats: &e.stats, obsv: cfg.Observer, nodes: make([]wnode, 1)}
 	e.resetDeltaBase()
 	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: cfg.Workers, Bound: cfg.Bound})
+		cfg.Observer.OnEngineStart(obs.EngineStart{Bound: cfg.Bound})
 	}
 	return e
 }
@@ -236,7 +222,8 @@ func (e *Engine) TaskSet() *depfunc.TaskSet { return e.ts }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Working returns the live hypothesis set (not a copy; callers must
-// not mutate it).
+// not mutate it, and must not hold it across the next ProcessPeriod,
+// which reuses the slice and recycles superseded hypotheses).
 func (e *Engine) Working() []*hypothesis.Hypothesis { return e.cur }
 
 // WorkingSetSize returns the current number of live hypotheses.
@@ -262,13 +249,7 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	}
 	relaxed, dropped := e.Postprocess(p, executed)
 	e.stats.Periods++
-	if cap := e.cfg.PeriodLiveCap; cap > 0 && len(e.stats.PeriodLive) >= cap {
-		pl := e.stats.PeriodLive
-		copy(pl, pl[len(pl)-cap+1:])
-		e.stats.PeriodLive = append(pl[:cap-1], len(e.cur))
-	} else {
-		e.stats.PeriodLive = append(e.stats.PeriodLive, len(e.cur))
-	}
+	e.stats.PeriodLive = e.appendPeriodLive(e.stats.PeriodLive, len(e.cur))
 	if obsv != nil {
 		// Postprocess leaves the survivors sorted by ascending
 		// weight, so the weight range is at the ends.
@@ -295,6 +276,16 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	return nil
 }
 
+// appendPeriodLive appends one period's live count to the series pl,
+// keeping at most Config.PeriodLiveCap entries.
+func (e *Engine) appendPeriodLive(pl []int, live int) []int {
+	if cap := e.cfg.PeriodLiveCap; cap > 0 && len(pl) >= cap {
+		copy(pl, pl[len(pl)-cap+1:])
+		pl = pl[:cap-1]
+	}
+	return append(pl, live)
+}
+
 // lub returns the pointwise least upper bound of the working set as a
 // fresh dependency function.
 func (e *Engine) lub() *depfunc.DepFunc {
@@ -307,11 +298,12 @@ func (e *Engine) lub() *depfunc.DepFunc {
 
 // EnumerateCandidates computes the timing-feasible candidate pairs of
 // every message of the period and the live-suffix sets behind early
-// assumption forgetting, under the "candidates" span.
-func (e *Engine) EnumerateCandidates(p *trace.Period) ([][]depfunc.Pair, []map[depfunc.Pair]bool) {
+// assumption forgetting, under the "candidates" span. The Live sets
+// are backed by engine memory and valid until the next call.
+func (e *Engine) EnumerateCandidates(p *trace.Period) ([][]depfunc.Pair, Live) {
 	sp := obs.StartSpan(e.cfg.Observer, obs.PhaseCandidates)
 	cands := depfunc.Candidates(p, e.ts, e.cfg.Policy)
-	live := liveSuffixes(cands)
+	live := e.liveSuffixes(cands)
 	sp.End()
 	return cands, live
 }
@@ -319,17 +311,12 @@ func (e *Engine) EnumerateCandidates(p *trace.Period) ([][]depfunc.Pair, []map[d
 // Generalize runs the message-guided generalization pass over the
 // period, under the "generalize" span. cands and live must come from
 // EnumerateCandidates on the same period.
-func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[depfunc.Pair]bool) error {
+func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live Live) error {
 	obsv := e.cfg.Observer
 	sp := obs.StartSpan(obsv, obs.PhaseGeneralize)
-	var pool *fanPool
-	if e.cfg.Workers > 1 {
-		pool = e.newFanPool()
-		defer pool.close()
-	}
 	cur := e.cur
 	for mi := range p.Msgs {
-		next, err := e.generalizeMessage(pool, cur, cands[mi], p.Index, mi, p.Msgs[mi].ID)
+		next, err := e.generalizeMessage(cur, e.gen[e.flip][:0], cands[mi], p.Index, mi, p.Msgs[mi].ID)
 		if err != nil {
 			sp.End()
 			return fmt.Errorf("%w (period %d, message %q)", err, p.Index, p.Msgs[mi].ID)
@@ -337,14 +324,13 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 		if mi > 0 {
 			// cur is an intermediate generation created within this
 			// period and superseded by next: nothing else references
-			// it (e.cur still holds the period-entry set; children
-			// share parent buffers only through the refcount), so its
-			// matrices go back to the arena.
-			for _, h := range cur {
-				h.Release()
-			}
+			// it (children share parent buffers only through the
+			// refcount), so it goes back to the arenas.
+			e.release(cur)
 		}
-		cur = e.forgetDeadAssumptions(next, live[mi+1])
+		cur = e.forgetDeadAssumptions(next, live, mi+1)
+		e.gen[e.flip] = cur
+		e.flip ^= 1
 		e.stats.Messages++
 		e.stats.Candidates += len(cands[mi])
 		if len(cur) > e.stats.Peak {
@@ -358,8 +344,22 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 		}
 	}
 	sp.End()
+	if len(p.Msgs) > 0 {
+		// The period-entry set is superseded too. It is released only
+		// now, so a failed period leaves e.cur intact.
+		e.release(e.cur)
+	}
 	e.cur = cur
 	return nil
+}
+
+// release recycles hypotheses nothing references any more and clears
+// their slots.
+func (e *Engine) release(hs []*hypothesis.Hypothesis) {
+	for _, h := range hs {
+		h.Release(&e.arena)
+	}
+	clear(hs)
 }
 
 // Postprocess runs the end-of-period pass under the "postprocess"
@@ -376,42 +376,37 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 	}
 	e.stats.Relaxations += relaxed
 	// Every surviving assumption list was just cleared and no other
-	// holder outlives the period, so the cons-cell arenas can recycle
+	// holder outlives the period, so the cons cells can recycle
 	// wholesale.
-	for _, ar := range e.arenas {
-		ar.Reset()
-	}
+	e.arena.Reset()
 	before := len(e.cur)
-	e.cur = PruneMostSpecific(e.cur, e.cfg.Observer, p.Index)
+	e.cur = e.pruneMostSpecific(e.cur, p.Index)
 	updateHistory(e.hist, executed, e.ts.Len())
 	sp.End()
 	return relaxed, before - len(e.cur)
 }
 
 // generalizeMessage extends every hypothesis in cur by every
-// admissible candidate assumption for one message, applying heuristic
-// merging when a bound is set. Child generation shards across the
-// stage's worker pool when one is supplied; gathering is always
-// sequential in (parent, pair) order, so the result does not depend on
-// Workers.
-func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, pairs []depfunc.Pair,
+// admissible candidate assumption for one message, in (parent, pair)
+// order, applying heuristic merging when a bound is set. The result
+// is appended to out, which must not share cur's backing array.
+func (e *Engine) generalizeMessage(cur, out []*hypothesis.Hypothesis, pairs []depfunc.Pair,
 	period, msg int, msgID string) ([]*hypothesis.Hypothesis, error) {
 
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("%w: message has no timing-feasible sender/receiver pair", ErrNoHypothesis)
 	}
-	ctx := hypothesis.StepCtx{Period: period, Msg: msg, MsgID: msgID, Arena: e.mainArena()}
-	wl := newWorkList(e.cfg.Bound, &e.stats)
-	wl.obsv, wl.ctx = e.cfg.Observer, ctx
-	seen := e.seen
-	seen.Reset()
-	gather := func(children []*hypothesis.Hypothesis) {
-		for _, c := range children {
-			if seen.Insert(c) {
+	ctx := hypothesis.StepCtx{Period: period, Msg: msg, MsgID: msgID, Arena: &e.arena}
+	wl := &e.wl
+	wl.ctx, wl.out = ctx, out
+	for _, h := range cur {
+		e.scratch = e.childrenOf(h, pairs, ctx, e.scratch[:0])
+		for _, c := range e.scratch {
+			if e.seen.Insert(c) {
 				// An equal hypothesis is already in the working list;
 				// the rejected duplicate was never seen by anyone else,
-				// so its matrix goes straight back to the arena.
-				c.Release()
+				// so it goes straight back to the arenas.
+				c.Release(&e.arena)
 				continue
 			}
 			e.stats.Children++
@@ -423,24 +418,12 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 			wl.add(c)
 		}
 	}
-
-	if pool != nil && len(cur) >= minParallelParents {
-		for _, children := range pool.run(cur, pairs, ctx) {
-			gather(children)
-		}
-	} else {
-		// Sequential fast path: one engine-owned scratch slice, no
-		// per-parent (or per-message) allocation.
-		for _, h := range cur {
-			e.scratch = e.childrenOf(h, pairs, ctx, e.scratch[:0])
-			gather(e.scratch)
-		}
-	}
-
-	out := wl.items
-	// The dedup map is dead from here on: hypotheses the bounded
+	clear(e.scratch)
+	out = wl.finish()
+	// The dedup set is dead from here on: hypotheses the bounded
 	// heuristic merged away can no longer be consulted by any equality
-	// check, so their matrices are safe to recycle.
+	// check, so they are safe to recycle.
+	e.seen.Reset()
 	wl.releaseRetired()
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: no hypothesis can explain the message", ErrNoHypothesis)
@@ -452,11 +435,7 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 }
 
 // childrenOf appends the admissible children of one parent for one
-// message to dst (a scratch slice on the sequential path, a chunk
-// buffer holding earlier parents' children on the parallel one; eager
-// pruning is confined to the new segment either way). It reads only
-// immutable shared state (hist is frozen during the generalize stage),
-// so concurrent calls on distinct parents are safe.
+// message to dst; eager pruning is confined to the new segment.
 func (e *Engine) childrenOf(h *hypothesis.Hypothesis, pairs []depfunc.Pair,
 	ctx hypothesis.StepCtx, dst []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
 
@@ -476,54 +455,69 @@ func (e *Engine) childrenOf(h *hypothesis.Hypothesis, pairs []depfunc.Pair,
 		}
 	}
 	if e.cfg.EagerPrune {
-		kept := minimalChildren(dst[base:])
+		kept := minimalChildren(dst[base:], ctx.Arena)
 		dst = dst[:base+len(kept)]
 	}
 	return dst
 }
 
-// liveSuffixes returns, for each message index i, the set of pairs
-// appearing in the candidate sets of messages i..end (live[len] is
-// empty). After message i is analyzed, assumptions about pairs outside
-// live[i+1] can never be consulted again this period.
-func liveSuffixes(cands [][]depfunc.Pair) []map[depfunc.Pair]bool {
-	live := make([]map[depfunc.Pair]bool, len(cands)+1)
-	live[len(cands)] = map[depfunc.Pair]bool{}
-	for i := len(cands) - 1; i >= 0; i-- {
-		m := make(map[depfunc.Pair]bool, len(live[i+1])+len(cands[i]))
-		for p := range live[i+1] {
-			m[p] = true
-		}
-		for _, p := range cands[i] {
-			m[p] = true
-		}
-		live[i] = m
-	}
-	return live
+// Live holds a period's live-suffix sets: for each message index i,
+// the pairs appearing in the candidate sets of messages i..end, as a
+// bitset over the pair slots S·n+R (set len(cands) is empty). After
+// message i is analyzed, assumptions about pairs outside set i+1 can
+// never be consulted again this period.
+type Live struct {
+	n, words int
+	bits     []uint64
 }
 
-// forgetDeadAssumptions drops assumptions about pairs that no
-// remaining message of the period can use, then unifies hypotheses
-// that became identical — a pure optimization that preserves the
-// algorithm's results (dead assumptions cannot influence any future
-// dup-pair check, and assumption sets are discarded at the period
-// boundary anyway).
-func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[depfunc.Pair]bool) []*hypothesis.Hypothesis {
-	// The message's gather is finished with e.seen (releaseRetired has
-	// run), so the same set is reset and reused here.
-	seen := e.seen
-	seen.Reset()
+// Has reports whether p is in live-suffix set i.
+func (l Live) Has(i int, p depfunc.Pair) bool {
+	k := p.S*l.n + p.R
+	return l.bits[i*l.words+k/64]&(1<<(k%64)) != 0
+}
+
+// liveSuffixes builds the period's Live sets in the engine's reusable
+// buffer.
+func (e *Engine) liveSuffixes(cands [][]depfunc.Pair) Live {
+	n := e.ts.Len()
+	l := Live{n: n, words: (n*n + 63) / 64}
+	size := (len(cands) + 1) * l.words
+	if cap(e.live) < size {
+		e.live = make([]uint64, size)
+	}
+	l.bits = e.live[:size]
+	clear(l.bits[len(cands)*l.words:])
+	for i := len(cands) - 1; i >= 0; i-- {
+		set := l.bits[i*l.words : (i+1)*l.words]
+		copy(set, l.bits[(i+1)*l.words:])
+		for _, p := range cands[i] {
+			k := p.S*n + p.R
+			set[k/64] |= 1 << (k % 64)
+		}
+	}
+	return l
+}
+
+// forgetDeadAssumptions drops assumptions about pairs that no message
+// from index from on can use, then unifies hypotheses that became
+// identical — a pure optimization that preserves the algorithm's
+// results (dead assumptions cannot influence any future dup-pair
+// check, and assumption sets are discarded at the period boundary
+// anyway).
+func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live Live, from int) []*hypothesis.Hypothesis {
 	out := hs[:0]
-	ar := e.mainArena()
 	for _, h := range hs {
-		h.RetainAssumptions(func(p depfunc.Pair) bool { return live[p] }, ar)
-		if !seen.Insert(h) {
+		h.RetainAssumptions(func(p depfunc.Pair) bool { return live.Has(from, p) }, &e.arena)
+		if !e.seen.Insert(h) {
 			out = append(out, h)
 		} else {
 			// Unified away, referenced by nothing else: recycle.
-			h.Release()
+			h.Release(&e.arena)
 		}
 	}
+	e.seen.Reset()
+	clear(hs[len(out):])
 	return out
 }
 
@@ -531,9 +525,8 @@ func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[dep
 // order on dependency functions) among the children one parent
 // spawned for one message. Children with equal dependency functions
 // but different assumptions are all kept. Dominated children are
-// fresh, unshared objects, so their matrices are recycled on the
-// spot (safe from worker goroutines: the arena is concurrent).
-func minimalChildren(children []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
+// fresh, unshared objects, so they are recycled on the spot.
+func minimalChildren(children []*hypothesis.Hypothesis, ar *hypothesis.Arena) []*hypothesis.Hypothesis {
 	dominated := make([]bool, len(children))
 	for i, c := range children {
 		for j, o := range children {
@@ -548,62 +541,68 @@ func minimalChildren(children []*hypothesis.Hypothesis) []*hypothesis.Hypothesis
 		if !dominated[i] {
 			out = append(out, c)
 		} else {
-			c.Release()
+			c.Release(ar)
 		}
 	}
 	return out
 }
 
-// PruneMostSpecific unifies equal hypotheses and removes redundant
+// pruneMostSpecific unifies equal hypotheses and removes redundant
 // ones: h is redundant iff some other hypothesis is strictly more
 // specific (Section 3.1 post-processing). Removals are reported to
-// obsv (reason "duplicate" or "redundant") when it is non-nil.
-// Deduplication keys on the dependency-function fingerprint alone:
-// assumption sets are already cleared at this point.
-func PruneMostSpecific(hs []*hypothesis.Hypothesis, obsv obs.Observer, period int) []*hypothesis.Hypothesis {
-	seen := make(map[uint64][]*depfunc.DepFunc, len(hs))
-	uniq := make([]*hypothesis.Hypothesis, 0, len(hs))
+// the observer (reason "duplicate" or "redundant") and recycled. The
+// survivors go to the engine's kept buffer, sorted by ascending
+// weight; hs is consumed. Assumption sets are already cleared at this
+// point, so deduplication compares dependency functions alone.
+func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*hypothesis.Hypothesis {
+	obsv := e.cfg.Observer
+	uniq := hs[:0]
 	for _, h := range hs {
-		fp := h.D.Fingerprint()
-		dup := false
-		for _, o := range seen[fp] {
-			if h.D.Equal(o) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[fp] = append(seen[fp], &h.D)
+		if !e.seen.Insert(h) {
 			uniq = append(uniq, h)
-		} else if obsv != nil {
+			continue
+		}
+		if obsv != nil {
 			obsv.OnHypothesisPruned(obs.HypothesisPruned{
 				Period: period, Reason: "duplicate", Weight: h.Weight(),
 			})
 		}
+		h.Release(&e.arena)
 	}
+	e.seen.Reset()
+	clear(hs[len(uniq):])
 	// Sort by weight: a hypothesis can only be dominated by a
 	// strictly lighter one.
 	sortByWeight(uniq)
-	out := make([]*hypothesis.Hypothesis, 0, len(uniq))
-	for i, h := range uniq {
+	// A hypothesis dominated by a redundant one is dominated by the
+	// survivor below it too, so comparing against the survivors is
+	// enough. out may share uniq's array (a period without messages
+	// hands kept back in); it never overtakes the element being read.
+	out := e.kept[:0]
+	for _, h := range uniq {
 		redundant := false
-		for j := 0; j < i; j++ {
-			if uniq[j].Weight() >= h.Weight() {
+		for _, o := range out {
+			if o.Weight() >= h.Weight() {
 				break
 			}
-			if uniq[j].D.Lt(&h.D) {
+			if o.D.Lt(&h.D) {
 				redundant = true
 				break
 			}
 		}
 		if !redundant {
 			out = append(out, h)
-		} else if obsv != nil {
+			continue
+		}
+		if obsv != nil {
 			obsv.OnHypothesisPruned(obs.HypothesisPruned{
 				Period: period, Reason: "redundant", Weight: h.Weight(),
 			})
 		}
+		h.Release(&e.arena)
 	}
+	clear(uniq[len(out):])
+	e.kept = out
 	return out
 }
 

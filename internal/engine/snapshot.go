@@ -5,7 +5,6 @@ import (
 
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
 // State is a deep-copied snapshot of an engine session at a period
@@ -61,20 +60,7 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 	if len(st.Working) == 0 {
 		return nil, fmt.Errorf("engine: restore: empty working set")
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	e := &Engine{
-		ts:     ts,
-		cfg:    cfg,
-		hist:   append([]bool(nil), st.History...),
-		cur:    make([]*hypothesis.Hypothesis, 0, len(st.Working)),
-		seen:   hypothesis.NewDedup(),
-		arenas: make([]*hypothesis.Arena, cfg.Workers+1),
-	}
-	for i := range e.arenas {
-		e.arenas[i] = new(hypothesis.Arena)
-	}
+	cur := make([]*hypothesis.Hypothesis, 0, len(st.Working))
 	for i, d := range st.Working {
 		if !d.TaskSet().Equal(ts) {
 			return nil, fmt.Errorf("engine: restore: working hypothesis %d is over task set %v, want %v",
@@ -84,16 +70,10 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 		if cfg.Provenance {
 			h.EnableProvenance()
 		}
-		e.cur = append(e.cur, h)
+		cur = append(cur, h)
 	}
-	e.stats = st.Stats
-	e.stats.PeriodLive = append([]int(nil), st.Stats.PeriodLive...)
-	if e.stats.Peak < len(e.cur) {
-		e.stats.Peak = len(e.cur)
-	}
-	e.resetDeltaBase()
-	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: cfg.Workers, Bound: cfg.Bound})
-	}
-	return e, nil
+	stats := st.Stats
+	stats.PeriodLive = append([]int(nil), st.Stats.PeriodLive...)
+	stats.Peak = max(stats.Peak, len(cur))
+	return start(ts, cfg, append([]bool(nil), st.History...), cur, stats), nil
 }

@@ -22,7 +22,7 @@ import (
 type Hypothesis struct {
 	// D is embedded by value: a hypothesis and its dependency-function
 	// header are one object, so the fan-out's per-child cost is a
-	// single (pooled) header instead of two heap allocations. Callers
+	// single (recycled) header instead of two heap allocations. Callers
 	// that need a *depfunc.DepFunc take &h.D; the copy-on-write buffer
 	// rules are unchanged.
 	D depfunc.DepFunc
@@ -52,13 +52,6 @@ type Hypothesis struct {
 	// O(changed entries) per step and O(1) extra work when cloning.
 	prov   *provNode
 	provOn bool
-
-	// dnext chains hypotheses with colliding fingerprints inside a
-	// Dedup set. Only the Dedup that most recently inserted h ever
-	// traverses it (Insert always rewrites the link), so the field can
-	// ride along in the header instead of forcing the dedup map to
-	// allocate per-bucket slices.
-	dnext *Hypothesis
 }
 
 // assumeNode is one cell of the persistent assumption list.
@@ -94,12 +87,9 @@ type StepCtx struct {
 	Msg    int
 	MsgID  string
 
-	// Arena, when non-nil, supplies the assumption cons cells that
-	// Assume and Merge would otherwise heap-allocate. The engine hands
-	// each fan-out worker its own arena and resets them at the period
-	// boundary (when every assumption list is cleared anyway); the nil
-	// zero value falls back to plain allocation, so casual callers and
-	// tests need not care.
+	// Arena, when non-nil, supplies the headers and assumption cons
+	// cells that Assume and Merge would otherwise heap-allocate (see
+	// Arena). The nil zero value falls back to plain allocation.
 	Arena *Arena
 }
 
@@ -210,19 +200,22 @@ func (h *Hypothesis) Assumed(p depfunc.Pair) bool {
 // AssumptionCount returns the number of pairs assumed this period.
 func (h *Hypothesis) AssumptionCount() int { return h.acount }
 
-// Release returns the hypothesis's matrix buffer to the arena and the
-// header itself to the package pool. The depfunc.Release aliasing
-// rules apply: only release hypotheses with no live alias (in
-// particular none held by a dedup map, a worklist or an escaped
-// result). A second Release on the same header is a no-op: the
-// embedded matrix reports whether it actually held a buffer, which
-// guards the pool against double puts.
-func (h *Hypothesis) Release() {
+// Release returns the hypothesis's matrix buffer to the buffer arena
+// and the zeroed header to ar's freelist (a nil ar leaves it to the
+// garbage collector). The depfunc.Release aliasing rules apply: only
+// release hypotheses with no live alias (in particular none held by a
+// dedup set, a worklist or an escaped result). A second Release on
+// the same header is a no-op: the embedded matrix reports whether it
+// actually held a buffer, which guards the freelist against double
+// puts.
+func (h *Hypothesis) Release(ar *Arena) {
 	if !h.D.Release() {
 		return
 	}
 	*h = Hypothesis{}
-	hypPool.Put(h)
+	if ar != nil && len(ar.free) < freeCap {
+		ar.free = append(ar.free, h)
+	}
 }
 
 // Assume returns a new hypothesis extending h with the assumption that
@@ -236,20 +229,19 @@ func (h *Hypothesis) Release() {
 //
 // The child shares h's matrix copy-on-write and extends the
 // assumption list by one cell, so a child whose joins change nothing
-// costs two small allocations and no matrix copy.
+// costs no matrix copy, and with an Arena no allocation either.
 func (h *Hypothesis) Assume(p depfunc.Pair, fwd, bwd lattice.Value, ctx StepCtx) *Hypothesis {
 	if h.Assumed(p) {
 		return nil
 	}
-	child := hypPool.Get().(*Hypothesis)
-	*child = Hypothesis{
-		asm:    ctx.Arena.node(p, h.asm),
-		acount: h.acount + 1,
-		weight: h.weight,
-		afp:    h.afp ^ p.Fingerprint(),
-		prov:   h.prov,
-		provOn: h.provOn,
-	}
+	// Field stores into the zeroed header: a composite literal would
+	// build the struct on the stack and copy it, a measurable cost at
+	// one child per parent and pair.
+	child := ctx.Arena.header()
+	child.asm = ctx.Arena.node(p, h.asm)
+	child.acount, child.weight = h.acount+1, h.weight
+	child.afp = h.afp ^ p.Fingerprint()
+	child.prov, child.provOn = h.prov, h.provOn
 	h.D.ShareInto(&child.D)
 	child.joinEntry(p, p.S, p.R, fwd, ctx)
 	child.joinEntry(p, p.R, p.S, bwd, ctx)
@@ -338,7 +330,9 @@ func (h *Hypothesis) Relax(executed func(task int) bool, ctx StepCtx) int {
 
 // Merge returns the least-upper-bound merge of h and other used by the
 // bounded heuristic: the dependency functions are joined pointwise and
-// the assumption sets intersected. Intersection (rather than union)
+// the assumption sets intersected (through ctx.Arena's pair stamps,
+// in O(|a|+|b|)). The merged weight is h's plus what the join added,
+// so no full Weight recount is needed. Intersection (rather than union)
 // keeps the merge sound: a pair assumed by only one lineage must stay
 // assumable, since the other lineage's branches may still need it for
 // a later message; re-assuming a pair can only repeat a join, never
@@ -351,23 +345,13 @@ func (h *Hypothesis) Relax(executed func(task int) bool, ctx StepCtx) int {
 // folded-away operand's own history is not retained — the chain
 // explains the surviving table, not every dead branch.
 func (h *Hypothesis) Merge(other *Hypothesis, ctx StepCtx) *Hypothesis {
+	m := ctx.Arena.header() // zeroed; filled field by field as in Assume
+	m.asm, m.acount, m.afp = ctx.Arena.intersect(h, other)
+	m.prov, m.provOn = h.prov, h.provOn || other.provOn
 	// Share h's matrix copy-on-write; the join only materializes a
 	// copy if other actually raises an entry.
-	var asm *assumeNode
-	var afp uint64
-	count := 0
-	for n := h.asm; n != nil; n = n.prev {
-		if other.Assumed(n.p) {
-			asm = ctx.Arena.node(n.p, asm)
-			count++
-			afp ^= n.p.Fingerprint()
-		}
-	}
-	m := hypPool.Get().(*Hypothesis)
-	*m = Hypothesis{asm: asm, acount: count, afp: afp, prov: h.prov, provOn: h.provOn || other.provOn}
 	h.D.ShareInto(&m.D)
-	m.D.JoinWith(&other.D)
-	m.weight = m.D.Weight()
+	m.weight = h.weight + m.D.JoinWith(&other.D)
 	if m.provOn {
 		n := m.D.N()
 		for i := 0; i < n; i++ {

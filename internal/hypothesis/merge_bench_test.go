@@ -10,8 +10,8 @@ import (
 
 // BenchmarkMergePath times the engine's merge hot path end to end:
 // assumption-intersection walk, copy-on-write matrix share, the
-// word-parallel join, and release back into the header pool and word
-// arena. Steady state must be alloc-free except the join's one
+// word-parallel join, and release back into the header freelist and
+// word arena. Steady state must be alloc-free except the join's one
 // copy-on-write materialization (the shared parent matrix must be
 // copied before other's entries are OR-ed in).
 func BenchmarkMergePath(b *testing.B) {
@@ -38,7 +38,7 @@ func BenchmarkMergePath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := h1.Merge(h2, ctx)
-				m.Release()
+				m.Release(&ar)
 				// Roll the arena back to the pre-merge mark instead of
 				// Reset: h1/h2's own cells live in the same arena and
 				// must survive the iteration.

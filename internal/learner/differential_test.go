@@ -1,6 +1,7 @@
 package learner
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,13 +53,51 @@ func replayOnline(t *testing.T, tr *trace.Trace, opt Options) *Result {
 	return r
 }
 
-// TestDifferentialBatchOnlineParallel is the cross-front-end property
-// test: over ~200 randomized simulated traces, batch Learn, the
-// incremental Online session and the parallel engine (Workers 4 and
-// 8) must produce identical hypothesis sets, in both the bounded and
-// — where tractable — the exact mode. This is the end-to-end check
-// that the engine extraction changed structure, not behaviour.
-func TestDifferentialBatchOnlineParallel(t *testing.T) {
+// replayRestored is replayOnline with a checkpoint after the first at
+// periods: the session is snapshotted, serialized, read back and
+// restored before the rest of the trace is fed.
+func replayRestored(t *testing.T, tr *trace.Trace, opt Options, at int) *Result {
+	t.Helper()
+	o, err := NewOnline(tr.Tasks, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range tr.Periods {
+		if i == at {
+			snap, err := o.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			if snap, err = ReadSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if o, err = RestoreOnline(snap, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.AddPeriod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := o.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestDifferentialBatchOnlineRestore is the cross-front-end property
+// test: over ~200 randomized simulated traces, batch Learn, a second
+// batch run in the same process, the incremental Online session and an
+// Online session checkpointed and restored halfway must produce
+// identical hypothesis sets, in both the bounded and — where tractable
+// — the exact mode. This is the end-to-end check that the engine is a
+// pure function of its input, whatever buffers it reuses.
+func TestDifferentialBatchOnlineRestore(t *testing.T) {
 	if *replaySeed >= 0 {
 		runDifferentialCase(t, *replaySeed)
 		return
@@ -90,7 +129,7 @@ func runDifferentialCase(t *testing.T, seed int64) (cases, exactCases int) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d: %s\nreplay: go test -run TestDifferentialBatchOnlineParallel -modelgen.seed=%d",
+		t.Fatalf("seed %d: %s\nreplay: go test -run TestDifferentialBatchOnlineRestore -modelgen.seed=%d",
 			seed, fmt.Sprintf(format, args...), seed)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -130,21 +169,20 @@ func runDifferentialCase(t *testing.T, seed int64) (cases, exactCases int) {
 		if got := resultSig(replayOnline(t, tr, opt)); !reflect.DeepEqual(got, want) {
 			fail("bound %d: online diverges from batch:\n got %v\nwant %v", bound, got, want)
 		}
-		for _, workers := range []int{4, 8} {
-			popt := opt
-			popt.Workers = workers
-			par, err := Learn(tr, popt)
-			if err != nil {
-				fail("bound %d workers %d: %v", bound, workers, err)
-			}
-			if got := resultSig(par); !reflect.DeepEqual(got, want) {
-				fail("bound %d workers %d: parallel diverges:\n got %v\nwant %v", bound, workers, got, want)
-			}
-			if !reflect.DeepEqual(par.Stats.PeriodLive, base.Stats.PeriodLive) ||
-				par.Stats.Children != base.Stats.Children ||
-				par.Stats.Merges != base.Stats.Merges {
-				fail("bound %d workers %d: stats diverge: %+v vs %+v", bound, workers, par.Stats, base.Stats)
-			}
+		again, err := Learn(tr, opt)
+		if err != nil {
+			fail("bound %d: second run: %v", bound, err)
+		}
+		if got := resultSig(again); !reflect.DeepEqual(got, want) {
+			fail("bound %d: second run diverges:\n got %v\nwant %v", bound, got, want)
+		}
+		if !reflect.DeepEqual(again.Stats.PeriodLive, base.Stats.PeriodLive) ||
+			again.Stats.Children != base.Stats.Children ||
+			again.Stats.Merges != base.Stats.Merges {
+			fail("bound %d: second run's stats diverge: %+v vs %+v", bound, again.Stats, base.Stats)
+		}
+		if got := resultSig(replayRestored(t, tr, opt, len(tr.Periods)/2)); !reflect.DeepEqual(got, want) {
+			fail("bound %d: restored online session diverges from batch:\n got %v\nwant %v", bound, got, want)
 		}
 		cases++
 		if bound == 0 {
@@ -156,9 +194,9 @@ func runDifferentialCase(t *testing.T, seed int64) (cases, exactCases int) {
 
 // TestDifferentialPinnedFigure2 pins the paper's worked example: for
 // each mode (exact, and two heuristic bounds) the Figure 2 trace must
-// produce one fixed derivation through every front end and worker
-// count, and every mode must agree on the recommended answer, the
-// least upper bound of Table 1.
+// produce one fixed derivation through every front end, restored or
+// not, and every mode must agree on the recommended answer, the least
+// upper bound of Table 1.
 func TestDifferentialPinnedFigure2(t *testing.T) {
 	tr := trace.PaperFigure2()
 	const wantLUB = "LUB:0441200120012550"
@@ -171,18 +209,13 @@ func TestDifferentialPinnedFigure2(t *testing.T) {
 		if got := want[len(want)-2]; got != wantLUB {
 			t.Errorf("bound %d: LUB = %s, want the pinned %s", bound, got, wantLUB)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			opt := Options{Bound: bound, Workers: workers}
-			r, err := Learn(tr, opt)
-			if err != nil {
-				t.Fatalf("bound %d workers %d: %v", bound, workers, err)
-			}
-			if got := resultSig(r); !reflect.DeepEqual(got, want) {
-				t.Errorf("bound %d workers %d: diverges from the pinned derivation:\n got %v\nwant %v",
-					bound, workers, got, want)
-			}
-			if got := resultSig(replayOnline(t, tr, opt)); !reflect.DeepEqual(got, want) {
-				t.Errorf("bound %d workers %d: online diverges from the pinned derivation", bound, workers)
+		opt := Options{Bound: bound}
+		if got := resultSig(replayOnline(t, tr, opt)); !reflect.DeepEqual(got, want) {
+			t.Errorf("bound %d: online diverges from the pinned derivation", bound)
+		}
+		for at := range tr.Periods {
+			if got := resultSig(replayRestored(t, tr, opt, at)); !reflect.DeepEqual(got, want) {
+				t.Errorf("bound %d: session restored after %d periods diverges from the pinned derivation", bound, at)
 			}
 		}
 	}

@@ -201,9 +201,6 @@ func TestOnlineObserverPerPeriod(t *testing.T) {
 // instrumentation (guarded via testing.AllocsPerRun over the online
 // learner's hot path).
 func TestNopObserverZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("AllocsPerRun is nondeterministic under the race detector (sync.Pool drops puts at random)")
-	}
 	tr := trace.PaperFigure2()
 	run := func(o obs.Observer) float64 {
 		return testing.AllocsPerRun(50, func() {

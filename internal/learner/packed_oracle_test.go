@@ -23,7 +23,7 @@ import (
 // kernel) and the packed and scalar sides must agree on every matrix
 // entry, fingerprint, weight and canonical key — over the full golden
 // conformance corpus and a few hundred randomized simulated traces,
-// for worker counts 1, 4 and 8. It lives in the external test package
+// each learned twice in one process. It lives in the external test package
 // because the golden corpus generator imports the learner.
 
 // packedReplaySeed replays one randomized case in isolation (the
@@ -69,8 +69,8 @@ func refVerify(r *learner.Result) error {
 }
 
 // comparableEvents filters a recorded stream down to the kinds that
-// are defined to be worker-count-invariant (engine_start carries the
-// worker count, run_end and span carry wall-clock durations).
+// are defined to be identical across runs (run_end and span carry
+// wall-clock durations).
 func comparableEvents(events []obs.Event) []obs.Event {
 	out := make([]obs.Event, 0, len(events))
 	for _, e := range events {
@@ -83,47 +83,42 @@ func comparableEvents(events []obs.Event) []obs.Event {
 	return out
 }
 
-// checkWorkers runs Learn over tr at the given options for workers 1,
-// 4 and 8 and fails unless all three produce identical signatures,
-// statistics and event streams and all three results verify against
-// the scalar reference kernel. It returns the workers=1 result.
-func checkWorkers(tr *trace.Trace, opt learner.Options) (*learner.Result, error) {
+// checkRuns runs Learn over tr at the given options twice in this
+// process and fails unless both runs produce identical signatures,
+// statistics and event streams and both results verify against the
+// scalar reference kernel. It returns the first result.
+func checkRuns(tr *trace.Trace, opt learner.Options) (*learner.Result, error) {
 	type run struct {
 		res    *learner.Result
 		events []obs.Event
 	}
-	runs := make([]run, 0, 3)
-	for _, workers := range []int{1, 4, 8} {
+	runs := make([]run, 0, 2)
+	for i := 0; i < 2; i++ {
 		o := opt
-		o.Workers = workers
 		rec := obs.NewRecorder()
 		o.Observer = rec
 		res, err := learner.Learn(tr, o)
 		if err != nil {
-			return nil, fmt.Errorf("workers %d: %w", workers, err)
+			return nil, fmt.Errorf("run %d: %w", i, err)
 		}
 		if err := refVerify(res); err != nil {
-			return nil, fmt.Errorf("workers %d: scalar reference disagrees: %w", workers, err)
+			return nil, fmt.Errorf("run %d: scalar reference disagrees: %w", i, err)
 		}
 		runs = append(runs, run{res, comparableEvents(rec.Events())})
 	}
-	base := runs[0]
-	want := packedSig(base.res)
-	for i, workers := range []int{4, 8} {
-		r := runs[i+1]
-		if got := packedSig(r.res); !reflect.DeepEqual(got, want) {
-			return nil, fmt.Errorf("workers %d: result diverges from sequential:\n got %v\nwant %v", workers, got, want)
-		}
-		if !reflect.DeepEqual(r.res.Stats.PeriodLive, base.res.Stats.PeriodLive) ||
-			r.res.Stats.Children != base.res.Stats.Children ||
-			r.res.Stats.Merges != base.res.Stats.Merges ||
-			r.res.Stats.Relaxations != base.res.Stats.Relaxations {
-			return nil, fmt.Errorf("workers %d: stats diverge: %+v vs %+v", workers, r.res.Stats, base.res.Stats)
-		}
-		if !reflect.DeepEqual(r.events, base.events) {
-			return nil, fmt.Errorf("workers %d: event stream diverges (%d vs %d comparable events)",
-				workers, len(r.events), len(base.events))
-		}
+	base, r := runs[0], runs[1]
+	if got, want := packedSig(r.res), packedSig(base.res); !reflect.DeepEqual(got, want) {
+		return nil, fmt.Errorf("second run diverges from the first:\n got %v\nwant %v", got, want)
+	}
+	if !reflect.DeepEqual(r.res.Stats.PeriodLive, base.res.Stats.PeriodLive) ||
+		r.res.Stats.Children != base.res.Stats.Children ||
+		r.res.Stats.Merges != base.res.Stats.Merges ||
+		r.res.Stats.Relaxations != base.res.Stats.Relaxations {
+		return nil, fmt.Errorf("second run's stats diverge: %+v vs %+v", r.res.Stats, base.res.Stats)
+	}
+	if !reflect.DeepEqual(r.events, base.events) {
+		return nil, fmt.Errorf("second run's event stream diverges (%d vs %d comparable events)",
+			len(r.events), len(base.events))
 	}
 	return base.res, nil
 }
@@ -131,7 +126,7 @@ func checkWorkers(tr *trace.Trace, opt learner.Options) (*learner.Result, error)
 // TestPackedOracleConformanceCorpus runs the packed-vs-scalar oracle
 // over every entry of the golden conformance corpus, at every bound
 // the entry's manifest declares (plus the exact mode where tractable),
-// for workers 1, 4 and 8.
+// twice each.
 func TestPackedOracleConformanceCorpus(t *testing.T) {
 	c, err := conformance.GenerateCorpus()
 	if err != nil {
@@ -148,7 +143,7 @@ func TestPackedOracleConformanceCorpus(t *testing.T) {
 				Policy:        e.Policy(),
 				MaxHypotheses: conformance.MaxExactHypotheses,
 			}
-			if _, err := checkWorkers(e.Trace, opt); err != nil {
+			if _, err := checkRuns(e.Trace, opt); err != nil {
 				t.Errorf("entry %s bound %d: %v", e.Name, bound, err)
 			}
 		}
@@ -204,7 +199,7 @@ func runPackedOracleCase(t *testing.T, seed int64) (cases int) {
 	}
 	for _, bound := range []int{0, 4 + int(seed%5)} {
 		opt := learner.Options{Bound: bound, MaxHypotheses: 2000}
-		if _, err := checkWorkers(out.Trace, opt); err != nil {
+		if _, err := checkRuns(out.Trace, opt); err != nil {
 			if bound == 0 && errors.Is(err, learner.ErrTooManyHypotheses) {
 				continue // intractable exact case; doesn't count
 			}

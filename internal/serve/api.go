@@ -15,12 +15,16 @@ import (
 
 // LearnOptions is the client-settable subset of learner.Options.
 // Algorithmic fields become part of the stream's checkpoints;
-// Workers, VerifyResults and Provenance are runtime knobs and may
-// differ across restarts of the same stream.
+// VerifyResults and Provenance are runtime knobs and may differ
+// across restarts of the same stream.
 type LearnOptions struct {
-	Bound          int   `json:"bound,omitempty"`
-	EagerPrune     bool  `json:"eager_prune,omitempty"`
-	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
+	Bound         int  `json:"bound,omitempty"`
+	EagerPrune    bool `json:"eager_prune,omitempty"`
+	MaxHypotheses int  `json:"max_hypotheses,omitempty"`
+	// Workers is accepted and ignored: the engine is single-owner and
+	// has no worker pool any more. The field stays so that older
+	// clients and checkpoints that carry it still decode; the server
+	// drops it when it builds the stream.
 	Workers        int   `json:"workers,omitempty"`
 	VerifyResults  bool  `json:"verify_results,omitempty"`
 	RetainPeriods  int   `json:"retain_periods,omitempty"`
@@ -37,7 +41,6 @@ func (lo LearnOptions) options() learner.Options {
 		Bound:         lo.Bound,
 		EagerPrune:    lo.EagerPrune,
 		MaxHypotheses: lo.MaxHypotheses,
-		Workers:       lo.Workers,
 		VerifyResults: lo.VerifyResults,
 		RetainPeriods: lo.RetainPeriods,
 		PeriodLiveCap: lo.PeriodLiveCap,

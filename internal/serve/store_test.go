@@ -255,6 +255,63 @@ func TestLegacyCheckpointMigration(t *testing.T) {
 	}
 }
 
+// TestWorkersOptionAcceptedAndIgnored: the engine lost its worker
+// pool, but clients and checkpoints from before still carry
+// "workers" in a stream's options. A create request with it succeeds
+// and the field is dropped; a checkpoint written with workers 4
+// restores, through the one-file migration and again through the
+// store's manifest, and serves the same model as a plain batch run.
+func TestWorkersOptionAcceptedAndIgnored(t *testing.T) {
+	tr := trace.PaperFigure2()
+	opts := LearnOptions{Bound: 2, Workers: 4}
+	tables, lub := batchTables(t, tr, opts.options())
+
+	live := New(Config{})
+	lts := httptest.NewServer(live.Handler())
+	info := newClient(t, lts).createStream(CreateStreamRequest{ID: "fresh", Tasks: tr.Tasks, Options: opts})
+	lts.Close()
+	shutdownServer(t, live)
+	if info.Options.Workers != 0 || info.Options.Bound != 2 {
+		t.Errorf("created stream's options = %+v, want bound 2 and no workers", info.Options)
+	}
+
+	o, err := learner.NewOnline(tr.Tasks, opts.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tr.Periods {
+		if err := o.AddPeriod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := o.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	b, err := json.Marshal(&checkpointFile{ServeVersion: serveVersion,
+		Info: StreamInfo{ID: "old", Tasks: tr.Tasks, Options: opts}, Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"workers":4`) {
+		t.Fatalf("checkpoint does not carry the workers field: %s", b)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "old.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 0; restart < 2; restart++ {
+		sv := New(Config{CheckpointDir: dir})
+		if n, err := sv.RestoreFromDir(); err != nil || n != 1 {
+			t.Fatalf("restart %d: restore n=%d err=%v", restart, n, err)
+		}
+		ts := httptest.NewServer(sv.Handler())
+		assertModelEquals(t, newClient(t, ts).model("old"), tables, lub)
+		ts.Close()
+		shutdownServer(t, sv)
+	}
+}
+
 // TestDriftForkSurvivesRestartWithoutCheckpoint: a generation fork is
 // itself a WAL record, so a crash-style restart right after a change
 // point restores the forked learner and the monitor mid-flight —

@@ -30,18 +30,18 @@ type queuedPeriod struct {
 // phaseBridge converts the engine's SpanEnd phase events
 // (candidates/generalize/postprocess) into trace spans parented under
 // the current learn_period span. The owner goroutine stores the
-// parent before AddPeriod; engine workers may emit OnSpan
-// concurrently, hence the atomic.
+// parent before AddPeriod, and the engine emits OnSpan synchronously
+// on that same goroutine, so the field needs no synchronization.
 type phaseBridge struct {
 	obs.NopObserver
 	tracer *obs.Tracer
-	parent atomic.Value // obs.SpanContext
+	parent obs.SpanContext
 }
 
-func (b *phaseBridge) setParent(sc obs.SpanContext) { b.parent.Store(sc) }
+func (b *phaseBridge) setParent(sc obs.SpanContext) { b.parent = sc }
 
 func (b *phaseBridge) OnSpan(e obs.SpanEnd) {
-	sc, _ := b.parent.Load().(obs.SpanContext)
+	sc := b.parent
 	if !sc.Sampled {
 		return
 	}
