@@ -18,14 +18,9 @@ import (
 // VerifyResults and Provenance are runtime knobs and may differ
 // across restarts of the same stream.
 type LearnOptions struct {
-	Bound         int  `json:"bound,omitempty"`
-	EagerPrune    bool `json:"eager_prune,omitempty"`
-	MaxHypotheses int  `json:"max_hypotheses,omitempty"`
-	// Workers is accepted and ignored: the engine is single-owner and
-	// has no worker pool any more. The field stays so that older
-	// clients and checkpoints that carry it still decode; the server
-	// drops it when it builds the stream.
-	Workers        int   `json:"workers,omitempty"`
+	Bound          int   `json:"bound,omitempty"`
+	EagerPrune     bool  `json:"eager_prune,omitempty"`
+	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
 	VerifyResults  bool  `json:"verify_results,omitempty"`
 	RetainPeriods  int   `json:"retain_periods,omitempty"`
 	PeriodLiveCap  int   `json:"period_live_cap,omitempty"`
@@ -67,9 +62,12 @@ type CreateStreamRequest struct {
 	// rejects candump lines.
 	BitRate int64 `json:"bit_rate,omitempty"`
 	// PeriodUS, when positive, cuts periods on a fixed wall-clock
-	// grid: whenever an event reaches the next multiple of PeriodUS
-	// after the stream's first event, the open period is closed.
-	// Explicit "period" directives still work and reset nothing.
+	// grid: whenever an opening event (a task start or a message
+	// rise) reaches the next multiple of PeriodUS after the stream's
+	// first opening event, the open period is closed. Closing events
+	// never cut, so a pair spanning a grid line stays in the period it
+	// opened in. Explicit "period" directives still work and reset
+	// nothing.
 	PeriodUS int64 `json:"period_us,omitempty"`
 	// Options configures the stream's learner.
 	Options LearnOptions `json:"options"`

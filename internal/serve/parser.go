@@ -9,15 +9,19 @@ import (
 )
 
 // parser is the per-stream ingest front end: it turns raw feed lines
-// into complete periods. Text-format directives go straight into a
-// trace.LineReader; lines starting with '(' are candump frames,
-// converted by a can.StreamConverter into the rise/fall pair of the
-// frame and fed into the same reader, so one stream may mix task
-// events from an instrumented node with bus frames from a logger.
+// into complete periods. Text-format lines are parsed by the stream's
+// trace.LineReader; lines starting with '(' are candump frames, which
+// a can.StreamConverter turns into the frame's rise and fall events.
+// Either way the events go to the same reader's Event, so one stream
+// may mix task events from an instrumented node with bus frames from a
+// logger.
 //
 // With a positive periodUS the parser also cuts periods on a fixed
-// grid anchored at the first timed event — the serving equivalent of
-// slicing a capture by the system's known period.
+// grid anchored at the first opening event — the serving equivalent of
+// slicing a capture by the system's known period. Only opening events
+// (a task start or a message rise, including the first half of an exec
+// or msg line) cut, so a pair that spans a grid line stays in the
+// period it opened in, whichever form it was sent in.
 //
 // parser is owned by the ingest path under the stream's feed mutex
 // and supports clone-and-commit: a request parses into a clone and
@@ -28,8 +32,7 @@ type parser struct {
 	conv *can.StreamConverter // nil unless the stream set a bit rate
 
 	periodUS int64
-	base     int64 // grid anchor: time of the first event seen
-	haveBase bool
+	haveBase bool  // whether the grid is anchored at an opening event
 	boundary int64 // next grid cut, valid when haveBase
 }
 
@@ -59,114 +62,59 @@ func (p *parser) clone() *parser {
 func (p *parser) partial() bool { return p.lr.Partial() }
 
 // feed consumes one raw feed line and returns the periods it
-// completed (usually zero or one; a candump frame crossing several
-// empty grid slots still cuts at most one, since empty periods are
-// skipped).
+// completed (usually zero or one; a line crossing several empty grid
+// slots still cuts at most one, since empty periods are skipped).
 func (p *parser) feed(line string) ([]*trace.Period, error) {
-	trimmed := strings.TrimSpace(line)
-	if strings.HasPrefix(trimmed, "(") {
-		return p.feedFrame(trimmed)
-	}
-	var out []*trace.Period
-	if p.periodUS > 0 {
-		if t, ok := eventTime(trimmed); ok {
-			cut, err := p.gridCut(t)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cut...)
+	var evs []trace.Event
+	var err error
+	if trimmed := strings.TrimSpace(line); strings.HasPrefix(trimmed, "(") {
+		if p.conv == nil {
+			return nil, fmt.Errorf("serve: candump line on a stream created without bit_rate")
 		}
+		evs, err = p.conv.Line(trimmed)
+	} else {
+		evs, err = p.lr.Parse(line)
 	}
-	period, err := p.lr.Line(line)
 	if err != nil {
 		return nil, err
 	}
-	if period != nil {
-		out = append(out, period)
+	var out []*trace.Period
+	for _, ev := range evs {
+		if p.periodUS > 0 && (ev.Kind == trace.TaskStart || ev.Kind == trace.MsgRise) {
+			if out, err = p.gridCut(ev.Time, out); err != nil {
+				return nil, err
+			}
+		}
+		if out, err = p.event(ev, out); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-func (p *parser) feedFrame(line string) ([]*trace.Period, error) {
-	if p.conv == nil {
-		return nil, fmt.Errorf("serve: candump line on a stream created without bit_rate")
+// event applies one event to the reader, appending the period it
+// closed, if any.
+func (p *parser) event(ev trace.Event, out []*trace.Period) ([]*trace.Period, error) {
+	period, err := p.lr.Event(ev)
+	if period != nil {
+		out = append(out, period)
 	}
-	events, err := p.conv.Line(line)
-	if err != nil {
-		return nil, err
-	}
-	var out []*trace.Period
-	for _, ev := range events {
-		if p.periodUS > 0 && ev.Kind == trace.MsgRise {
-			// Cut on the rise only: the synthetic fall belongs to the
-			// same frame and must stay in the same period.
-			cut, err := p.gridCut(ev.Time)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cut...)
-		}
-		var directive string
-		switch ev.Kind {
-		case trace.MsgRise:
-			directive = fmt.Sprintf("rise %s %d", ev.Name, ev.Time)
-		case trace.MsgFall:
-			directive = fmt.Sprintf("fall %s %d", ev.Name, ev.Time)
-		}
-		period, err := p.lr.Line(directive)
-		if err != nil {
-			return nil, err
-		}
-		if period != nil {
-			out = append(out, period)
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // gridCut closes the open period when t has reached the next grid
 // boundary, and advances the boundary past t.
-func (p *parser) gridCut(t int64) ([]*trace.Period, error) {
+func (p *parser) gridCut(t int64, out []*trace.Period) ([]*trace.Period, error) {
 	if !p.haveBase {
-		p.base, p.haveBase = t, true
-		p.boundary = t + p.periodUS
-		return nil, nil
+		p.haveBase, p.boundary = true, t+p.periodUS
+		return out, nil
 	}
 	if t < p.boundary {
-		return nil, nil
+		return out, nil
 	}
-	var out []*trace.Period
-	period, err := p.lr.Line("period")
-	if err != nil {
-		return nil, err
-	}
-	if period != nil {
-		out = append(out, period)
-	}
-	for p.boundary <= t {
-		p.boundary += p.periodUS
-	}
-	return out, nil
-}
-
-// eventTime extracts the timestamp of a timed text directive, so the
-// grid cutter can run on mixed-format streams. Untimed or malformed
-// lines report false and are left to the LineReader to accept or
-// reject.
-func eventTime(trimmed string) (int64, bool) {
-	fields := strings.Fields(trimmed)
-	switch {
-	case len(fields) == 3 && (fields[0] == "start" || fields[0] == "end" ||
-		fields[0] == "rise" || fields[0] == "fall"):
-		var t int64
-		if _, err := fmt.Sscanf(fields[2], "%d", &t); err == nil {
-			return t, true
-		}
-	case len(fields) == 4 && (fields[0] == "exec" || fields[0] == "msg"):
-		var t int64
-		if _, err := fmt.Sscanf(fields[2], "%d", &t); err == nil {
-			return t, true
-		}
-	}
-	return 0, false
+	// Step to the first boundary past t at once: t comes from the
+	// client, and a loop over the skipped grid slots could spin for
+	// ever on one line.
+	p.boundary = t + p.periodUS - (t-p.boundary)%p.periodUS
+	return p.event(trace.Event{Kind: trace.PeriodMark}, out)
 }

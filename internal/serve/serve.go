@@ -440,7 +440,6 @@ func (sv *Server) newStreamShell(info StreamInfo) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	info.Options.Workers = 0 // accepted and ignored (see LearnOptions)
 	opt := info.Options.options()
 	s := &stream{
 		id:              info.ID,

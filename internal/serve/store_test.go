@@ -255,24 +255,31 @@ func TestLegacyCheckpointMigration(t *testing.T) {
 	}
 }
 
-// TestWorkersOptionAcceptedAndIgnored: the engine lost its worker
-// pool, but clients and checkpoints from before still carry
-// "workers" in a stream's options. A create request with it succeeds
-// and the field is dropped; a checkpoint written with workers 4
-// restores, through the one-file migration and again through the
-// store's manifest, and serves the same model as a plain batch run.
+// TestWorkersOptionAcceptedAndIgnored: clients and checkpoints from
+// before the single-owner engine still carry "workers" in a stream's
+// options. The field is gone and the decoders ignore unknown fields,
+// so a create request with it succeeds, and a checkpoint written with
+// workers 4 restores, through the one-file migration and again through
+// the store's manifest, and serves the same model as a plain batch run.
 func TestWorkersOptionAcceptedAndIgnored(t *testing.T) {
 	tr := trace.PaperFigure2()
-	opts := LearnOptions{Bound: 2, Workers: 4}
+	opts := LearnOptions{Bound: 2}
 	tables, lub := batchTables(t, tr, opts.options())
+	addWorkers := func(b []byte) []byte {
+		return []byte(strings.Replace(string(b), `"options":{`, `"options":{"workers":4,`, 1))
+	}
 
 	live := New(Config{})
 	lts := httptest.NewServer(live.Handler())
-	info := newClient(t, lts).createStream(CreateStreamRequest{ID: "fresh", Tasks: tr.Tasks, Options: opts})
+	body, err := json.Marshal(CreateStreamRequest{ID: "fresh", Tasks: tr.Tasks, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := newClient(t, lts).do("POST", "/v1/streams", addWorkers(body))
 	lts.Close()
 	shutdownServer(t, live)
-	if info.Options.Workers != 0 || info.Options.Bound != 2 {
-		t.Errorf("created stream's options = %+v, want bound 2 and no workers", info.Options)
+	if resp.StatusCode != http.StatusCreated || strings.Contains(string(out), "workers") {
+		t.Errorf("create with workers: %d %s, want 201 and no workers", resp.StatusCode, out)
 	}
 
 	o, err := learner.NewOnline(tr.Tasks, opts.options())
@@ -294,7 +301,7 @@ func TestWorkersOptionAcceptedAndIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"workers":4`) {
+	if b = addWorkers(b); !strings.Contains(string(b), `"workers":4`) {
 		t.Fatalf("checkpoint does not carry the workers field: %s", b)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "old.json"), b, 0o644); err != nil {

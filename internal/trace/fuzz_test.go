@@ -1,12 +1,16 @@
 package trace
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// FuzzRead checks that the trace parser never panics and that every
-// accepted input survives a write/read round trip.
+// FuzzRead checks that the trace parser never panics, that every
+// accepted input survives a write/read round trip, and that every
+// accepted trace that also passes Validate comes back unchanged from
+// FromEvents over its own event stream.
 func FuzzRead(f *testing.F) {
 	f.Add("tasks a b\nperiod\nexec a 0 5\nmsg m1 6 7\nexec b 9 12\n")
 	f.Add("tasks t1\nperiod\nstart t1 0\nend t1 4\n")
@@ -14,6 +18,9 @@ func FuzzRead(f *testing.F) {
 	f.Add("tasks a\nexec a 5 1\n")
 	f.Add("period\n")
 	f.Add("tasks a\nmsg m 1\n")
+	f.Add("tasks a\nexec a 5 5\nmsg m 7 7\n")
+	f.Add("tasks a b\nexec a 0 5\nperiod\nexec b 5 6\n")
+	f.Add("tasks a\nmsg m1 2 9\nmsg m2 2 4\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadString(input)
 		if err != nil {
@@ -30,7 +37,46 @@ func FuzzRead(f *testing.F) {
 		if back.Stats() != tr.Stats() {
 			t.Fatalf("round trip changed stats: %+v vs %+v", back.Stats(), tr.Stats())
 		}
+		if tr.Validate() != nil {
+			return // per-period clocks: legal text, not an event stream
+		}
+		fromEvents, err := FromEvents(tr.Tasks, tr.Events())
+		if err != nil {
+			t.Fatalf("FromEvents(Events()) rejects a valid trace: %v\n%s", err, tr)
+		}
+		if !sameTrace(fromEvents, tr) {
+			t.Fatalf("FromEvents(Events()) changed the trace:\n%s\nwant:\n%s", fromEvents, tr)
+		}
 	})
+}
+
+// sameTrace compares two traces exactly, except for the order of
+// messages that rise at the same time: an event stream carries none
+// (FromEvents orders them by fall), so both sides are put in (rise,
+// fall) order first.
+func sameTrace(a, b *Trace) bool {
+	if !reflect.DeepEqual(a.Tasks, b.Tasks) || len(a.Periods) != len(b.Periods) {
+		return false
+	}
+	for i, p := range a.Periods {
+		q := b.Periods[i]
+		if p.Index != q.Index || !reflect.DeepEqual(p.Execs, q.Execs) ||
+			!reflect.DeepEqual(byRiseFall(p.Msgs), byRiseFall(q.Msgs)) {
+			return false
+		}
+	}
+	return true
+}
+
+func byRiseFall(ms []Message) []Message {
+	out := append([]Message(nil), ms...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Rise != out[j].Rise {
+			return out[i].Rise < out[j].Rise
+		}
+		return out[i].Fall < out[j].Fall
+	})
+	return out
 }
 
 // FuzzFromEventsPeriodic checks the segmenter against arbitrary event

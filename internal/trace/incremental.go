@@ -2,23 +2,47 @@ package trace
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// LineReader is the incremental form of Read: it consumes the text
-// trace format one line at a time and emits each period as soon as
-// the line that closes it arrives, so a long-running service can cut
-// periods out of a live feed without buffering the whole stream
-// (internal/serve is the primary consumer).
+// LineReader is the trace segmenter. It pairs each task start with the
+// task's next end and each message rise with the next fall of the same
+// label, and cuts the pairs into periods, emitting each period as soon
+// as the event that closes it arrives. Read, FromEvents and the
+// server's ingest path (internal/serve) all run on it, so a live feed
+// is cut without buffering the whole stream.
 //
-// The predefined task set is fixed at construction instead of being
-// read from the stream; a "tasks" line in the feed is accepted only
-// when it matches exactly, so recorded trace files replay verbatim.
-// Line order is authoritative (per-period clock restarts are legal),
-// matching Read. Every emitted period has passed the same per-period
-// validation Read applies.
+// Events arrive one at a time through Event, or as lines of the text
+// trace format through Line:
+//
+//	# comment
+//	tasks t1 t2 t3 t4
+//	period
+//	exec t1 0 10
+//	msg m1 12 15
+//	start t2 16
+//	end t2 20
+//	rise m2 21
+//	fall m2 23
+//
+// "tasks" declares the predefined task set. "period" is a PeriodMark.
+// "exec NAME START END" is a task's start and end, "msg ID RISE FALL" a
+// message's rise and fall, and "start NAME T", "end NAME T", "rise ID T"
+// and "fall ID T" are single events. Blank lines and '#' comments are
+// ignored.
+//
+// A PeriodMark closes the open period when any event arrived since the
+// previous mark. No pair may be open at the cut, each task runs at most
+// once per period, and every emitted period has passed the per-period
+// checks of Trace.Validate. Event order is authoritative, so clocks
+// may restart every period.
+//
+// The task set is fixed at construction; a "tasks" line fed to Line is
+// accepted only when it matches it exactly, so recorded trace files
+// replay verbatim.
 //
 // LineReader is not safe for concurrent use. Clone supports two-phase
 // ingest: parse a batch on a clone, and only commit the clone as the
@@ -31,7 +55,8 @@ type LineReader struct {
 	started   bool
 	openStart map[string]int64
 	openRise  map[string]int64
-	line      int // lines consumed, for error positions
+	line      int      // lines consumed, for error positions
+	buf       [2]Event // Parse's result
 }
 
 // NewLineReader returns a LineReader over the given predefined task
@@ -40,14 +65,24 @@ func NewLineReader(tasks []string) (*LineReader, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("trace: empty task set")
 	}
-	known := make(map[string]bool, len(tasks))
+	seen := make(map[string]bool, len(tasks))
 	for _, t := range tasks {
 		if t == "" {
 			return nil, fmt.Errorf("trace: empty task name")
 		}
-		if known[t] {
+		if seen[t] {
 			return nil, fmt.Errorf("trace: duplicate task %q", t)
 		}
+		seen[t] = true
+	}
+	return newLineReader(tasks), nil
+}
+
+// newLineReader is NewLineReader without the task-set checks, for
+// FromEvents, which has always taken any task set.
+func newLineReader(tasks []string) *LineReader {
+	known := make(map[string]bool, len(tasks))
+	for _, t := range tasks {
 		known[t] = true
 	}
 	return &LineReader{
@@ -56,7 +91,7 @@ func NewLineReader(tasks []string) (*LineReader, error) {
 		cur:       &Period{Index: 0, Execs: map[string]Interval{}},
 		openStart: map[string]int64{},
 		openRise:  map[string]int64{},
-	}, nil
+	}
 }
 
 // Tasks returns the reader's predefined task set.
@@ -71,123 +106,103 @@ func (lr *LineReader) Partial() bool {
 
 // Clone returns an independent deep copy of the reader state.
 func (lr *LineReader) Clone() *LineReader {
-	cp := &LineReader{
-		tasks:     lr.tasks, // immutable after construction
-		known:     lr.known, // immutable after construction
-		cur:       lr.cur.Clone(),
-		started:   lr.started,
-		openStart: make(map[string]int64, len(lr.openStart)),
-		openRise:  make(map[string]int64, len(lr.openRise)),
-		line:      lr.line,
-	}
-	for k, v := range lr.openStart {
-		cp.openStart[k] = v
-	}
-	for k, v := range lr.openRise {
-		cp.openRise[k] = v
-	}
-	return cp
+	cp := *lr // tasks and known are immutable after construction
+	cp.cur = lr.cur.Clone()
+	cp.openStart = maps.Clone(lr.openStart)
+	cp.openRise = maps.Clone(lr.openRise)
+	return &cp
 }
 
 // Line consumes one line of the text format. It returns the completed
 // period when the line closed one (a "period" directive after at
-// least one event), and nil otherwise. Blank lines and '#' comments
-// are ignored. Errors leave the reader in an undefined state; the
-// caller owns discarding it (or the clone it parsed into).
+// least one event), and nil otherwise. Errors leave the reader in an
+// undefined state; the caller owns discarding it (or the clone it
+// parsed into).
 func (lr *LineReader) Line(s string) (*Period, error) {
-	lr.line++
-	line := strings.TrimSpace(s)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return nil, nil
-	}
-	p, err := lr.consume(strings.Fields(line))
+	evs, err := lr.Parse(s)
 	if err != nil {
-		return nil, fmt.Errorf("trace: line %d: %w", lr.line, err)
+		return nil, err
+	}
+	var p *Period
+	for _, ev := range evs {
+		if p, err = lr.Event(ev); err != nil {
+			return nil, atLine(lr.line, err)
+		}
 	}
 	return p, nil
 }
 
-func (lr *LineReader) consume(fields []string) (*Period, error) {
-	switch fields[0] {
-	case "tasks":
-		if len(fields)-1 != len(lr.tasks) {
-			return nil, fmt.Errorf("stream declares %d tasks, reader is configured for %d", len(fields)-1, len(lr.tasks))
-		}
-		for i, t := range fields[1:] {
-			if t != lr.tasks[i] {
-				return nil, fmt.Errorf("stream task %d is %q, reader is configured for %q", i, t, lr.tasks[i])
-			}
-		}
-		return nil, nil
-	case "period":
-		return lr.cut()
-	case "exec":
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("%w: exec wants NAME START END", ErrTruncatedEvent)
-		}
-		start, err := parseTime(fields[2])
-		if err != nil {
-			return nil, err
-		}
-		end, err := parseTime(fields[3])
-		if err != nil {
-			return nil, err
-		}
-		if err := lr.taskStart(fields[1], start); err != nil {
-			return nil, err
-		}
-		return nil, lr.taskEnd(fields[1], end)
-	case "msg":
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("%w: msg wants ID RISE FALL", ErrTruncatedEvent)
-		}
-		rise, err := parseTime(fields[2])
-		if err != nil {
-			return nil, err
-		}
-		fall, err := parseTime(fields[3])
-		if err != nil {
-			return nil, err
-		}
-		lr.cur.Msgs = append(lr.cur.Msgs, Message{ID: fields[1], Rise: rise, Fall: fall})
-		lr.started = true
-		return nil, nil
-	case "start", "end", "rise", "fall":
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("%w: %s wants NAME TIME", ErrTruncatedEvent, fields[0])
-		}
-		t, err := parseTime(fields[2])
-		if err != nil {
-			return nil, err
-		}
-		switch fields[0] {
-		case "start":
-			if err := lr.taskStart(fields[1], t); err != nil {
-				return nil, err
-			}
-		case "end":
-			if err := lr.taskEnd(fields[1], t); err != nil {
-				return nil, err
-			}
-		case "rise":
-			if _, open := lr.openRise[fields[1]]; open {
-				return nil, fmt.Errorf("%w: double rise of %q", ErrUnmatchedEvent, fields[1])
-			}
-			lr.openRise[fields[1]] = t
-			lr.started = true
-		case "fall":
-			rise, ok := lr.openRise[fields[1]]
-			if !ok {
-				return nil, fmt.Errorf("%w: fall of %q without rise", ErrUnmatchedEvent, fields[1])
-			}
-			delete(lr.openRise, fields[1])
-			lr.cur.Msgs = append(lr.cur.Msgs, Message{ID: fields[1], Rise: rise, Fall: t})
-			lr.started = true
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("unknown directive %q", fields[0])
+// Parse parses one line of the text format into the events it denotes,
+// without applying them: Line is Parse followed by Event on each
+// result. A "tasks" line is checked against the reader's task set and
+// yields no events. The result is valid until the next Parse.
+func (lr *LineReader) Parse(s string) ([]Event, error) {
+	lr.line++
+	evs, tasks, err := parseLine(s, lr.buf[:0])
+	if err == nil && tasks != nil {
+		err = lr.checkTasks(tasks)
 	}
+	if err != nil {
+		return nil, atLine(lr.line, err)
+	}
+	return evs, nil
+}
+
+func (lr *LineReader) checkTasks(tasks []string) error {
+	if len(tasks) != len(lr.tasks) {
+		return fmt.Errorf("trace: stream declares %d tasks, reader is configured for %d", len(tasks), len(lr.tasks))
+	}
+	for i, t := range tasks {
+		if t != lr.tasks[i] {
+			return fmt.Errorf("trace: stream task %d is %q, reader is configured for %q", i, t, lr.tasks[i])
+		}
+	}
+	return nil
+}
+
+// Event applies one event. A PeriodMark closes the open period and
+// returns it, or nil when no event arrived since the previous mark;
+// every other kind returns nil. Errors leave the reader in an
+// undefined state, as for Line.
+func (lr *LineReader) Event(ev Event) (*Period, error) {
+	switch ev.Kind {
+	case PeriodMark:
+		return lr.cut()
+	case TaskStart:
+		if !lr.known[ev.Name] {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownTask, ev.Name)
+		}
+		if _, dup := lr.cur.Execs[ev.Name]; dup {
+			return nil, fmt.Errorf("%w: %q in period %d", ErrDuplicateExec, ev.Name, lr.cur.Index)
+		}
+		if _, open := lr.openStart[ev.Name]; open {
+			return nil, fmt.Errorf("%w: double start of %q", ErrUnmatchedEvent, ev.Name)
+		}
+		lr.openStart[ev.Name] = ev.Time
+	case TaskEnd:
+		st, ok := lr.openStart[ev.Name]
+		if !ok {
+			return nil, fmt.Errorf("%w: end of %q without start", ErrUnmatchedEvent, ev.Name)
+		}
+		delete(lr.openStart, ev.Name)
+		lr.cur.Execs[ev.Name] = Interval{Start: st, End: ev.Time}
+	case MsgRise:
+		if _, open := lr.openRise[ev.Name]; open {
+			return nil, fmt.Errorf("%w: double rise of %q", ErrUnmatchedEvent, ev.Name)
+		}
+		lr.openRise[ev.Name] = ev.Time
+	case MsgFall:
+		rise, ok := lr.openRise[ev.Name]
+		if !ok {
+			return nil, fmt.Errorf("%w: fall of %q without rise", ErrUnmatchedEvent, ev.Name)
+		}
+		delete(lr.openRise, ev.Name)
+		lr.cur.Msgs = append(lr.cur.Msgs, Message{ID: ev.Name, Rise: rise, Fall: ev.Time})
+	default:
+		return nil, fmt.Errorf("trace: invalid event kind %d", ev.Kind)
+	}
+	lr.started = true
+	return nil, nil
 }
 
 // Flush closes the open period and returns it, or nil when no events
@@ -214,39 +229,57 @@ func (lr *LineReader) cut() (*Period, error) {
 	return p, nil
 }
 
-func (lr *LineReader) taskStart(name string, t int64) error {
-	if !lr.known[name] {
-		return fmt.Errorf("%w: %q", ErrUnknownTask, name)
-	}
-	if _, dup := lr.cur.Execs[name]; dup {
-		return fmt.Errorf("%w: %q in period %d", ErrDuplicateExec, name, lr.cur.Index)
-	}
-	if _, open := lr.openStart[name]; open {
-		return fmt.Errorf("%w: double start of %q", ErrUnmatchedEvent, name)
-	}
-	lr.openStart[name] = t
-	lr.started = true
-	return nil
+// edgeKinds maps each event directive of the text format to the kinds
+// of the events it denotes, one per timestamp field.
+var edgeKinds = map[string][]Kind{
+	"exec": {TaskStart, TaskEnd}, "msg": {MsgRise, MsgFall},
+	"start": {TaskStart}, "end": {TaskEnd}, "rise": {MsgRise}, "fall": {MsgFall},
 }
 
-func (lr *LineReader) taskEnd(name string, t int64) error {
-	st, ok := lr.openStart[name]
+// parseLine parses one line of the text format, appending the events
+// it denotes to evs. A "tasks" declaration yields no events and returns
+// its names as a non-nil slice.
+func parseLine(s string, evs []Event) ([]Event, []string, error) {
+	f := strings.Fields(s)
+	if len(f) == 0 || f[0][0] == '#' {
+		return evs, nil, nil
+	}
+	switch f[0] {
+	case "tasks":
+		return evs, f[1:], nil
+	case "period":
+		return append(evs, Event{Kind: PeriodMark}), nil, nil
+	}
+	kinds, ok := edgeKinds[f[0]]
 	if !ok {
-		return fmt.Errorf("%w: end of %q without start", ErrUnmatchedEvent, name)
+		return nil, nil, fmt.Errorf("trace: unknown directive %q", f[0])
 	}
-	delete(lr.openStart, name)
-	lr.cur.Execs[name] = Interval{Start: st, End: t}
-	lr.started = true
-	return nil
+	if len(f) != 2+len(kinds) {
+		return nil, nil, fmt.Errorf("%w: %s wants a name and %d timestamp(s)", ErrTruncatedEvent, f[0], len(kinds))
+	}
+	for i, k := range kinds {
+		t, err := strconv.ParseInt(f[2+i], 10, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %q", ErrBadTimestamp, f[2+i])
+		}
+		evs = append(evs, Event{Time: t, Kind: k, Name: f[1]})
+	}
+	return evs, nil, nil
 }
 
-func parseTime(s string) (int64, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q", ErrBadTimestamp, s)
-	}
-	return v, nil
+// lineError places an error at a line of the text format.
+type lineError struct {
+	line int
+	err  error
 }
+
+func atLine(n int, err error) error { return &lineError{line: n, err: err} }
+
+func (e *lineError) Error() string {
+	return fmt.Sprintf("trace: line %d: %s", e.line, strings.TrimPrefix(e.err.Error(), "trace: "))
+}
+
+func (e *lineError) Unwrap() error { return e.err }
 
 func sortPeriodMessages(p *Period) {
 	sort.SliceStable(p.Msgs, func(i, j int) bool { return p.Msgs[i].Rise < p.Msgs[j].Rise })

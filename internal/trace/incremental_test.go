@@ -63,28 +63,24 @@ func randomLineTrace(r *rand.Rand, nTasks, nPeriods, maxMsgs int) *Trace {
 }
 
 // TestLineReaderRoundTrip: feeding Write's output line by line through
-// a LineReader reproduces the batch Read result — same periods, same
-// contents, including the trailing period that no "period" directive
-// closes (Flush emits it).
+// a LineReader reproduces the Builder-made source trace — same
+// periods, same contents, including the trailing period that no
+// "period" directive closes (Flush emits it).
 func TestLineReaderRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	traces := []*Trace{PaperFigure2()}
 	for i := 0; i < 8; i++ {
 		traces = append(traces, randomLineTrace(r, 2+r.Intn(4), 1+r.Intn(6), 3))
 	}
-	for ti, tr := range traces {
-		text := tr.String()
-		want, err := ReadString(text)
-		if err != nil {
-			t.Fatalf("trace %d: batch re-read: %v", ti, err)
-		}
-		lr, err := NewLineReader(tr.Tasks)
+	for ti, want := range traces {
+		text := want.String()
+		lr, err := NewLineReader(want.Tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := feedLines(t, lr, text)
 		if len(got) != len(want.Periods) {
-			t.Fatalf("trace %d: incremental cut %d periods, batch %d", ti, len(got), len(want.Periods))
+			t.Fatalf("trace %d: incremental cut %d periods, source has %d", ti, len(got), len(want.Periods))
 		}
 		for i, p := range got {
 			w := want.Periods[i]
@@ -220,6 +216,7 @@ func TestLineReaderErrors(t *testing.T) {
 		{"end without start", []string{"end t1 5"}, ErrUnmatchedEvent},
 		{"double rise", []string{"rise m1 0", "rise m1 1"}, ErrUnmatchedEvent},
 		{"fall without rise", []string{"fall m1 5"}, ErrUnmatchedEvent},
+		{"msg over open rise", []string{"rise m1 0", "msg m1 1 2"}, ErrUnmatchedEvent},
 		{"pair crosses period", []string{"start t1 0", "period"}, ErrCrossingPeriod},
 		{"inverted exec", []string{"exec t1 9 5", "period"}, ErrInvertedEvent},
 	}
@@ -253,5 +250,8 @@ func TestLineReaderErrors(t *testing.T) {
 	}
 	if _, err := lr.Line("frobnicate t1 0"); err == nil {
 		t.Error("unknown directive accepted")
+	}
+	if _, err := lr.Event(Event{Kind: PeriodMark + 1}); err == nil {
+		t.Error("invalid event kind accepted")
 	}
 }

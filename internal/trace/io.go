@@ -2,30 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"github.com/blackbox-rt/modelgen/internal/obs"
 )
-
-// The text trace format is line oriented:
-//
-//	# comment
-//	tasks t1 t2 t3 t4
-//	period
-//	exec t1 0 10
-//	msg m1 12 15
-//	period
-//	...
-//
-// "tasks" declares the predefined task set and must appear before the
-// first period. "period" opens a new period. "exec NAME START END"
-// records a task execution, "msg ID RISE FALL" a message occurrence.
-// For raw logs the event-level forms "start NAME T", "end NAME T",
-// "rise ID T" and "fall ID T" are also accepted and matched up exactly
-// like FromEvents. Blank lines and '#' comments are ignored.
 
 // Write serializes the trace in the compact text format.
 func Write(w io.Writer, tr *Trace) error {
@@ -65,13 +48,15 @@ func (tr *Trace) String() string {
 	return sb.String()
 }
 
-// Read parses a trace in the text format.
+// Read parses a trace in the text format (see LineReader). The first
+// line that is not blank or a comment declares the task set, and only
+// that line may.
 func Read(r io.Reader) (*Trace, error) { return ReadObserved(r, nil) }
 
 // ReadObserved parses like Read and reports parsing observability to
-// o (stage "trace"): events_read and periods_segmented on success,
-// malformed_lines (with the error as label) on a parse failure. A nil
-// observer makes it identical to Read.
+// o (stage "trace"): events_read (period marks included) and
+// periods_segmented on success, malformed_lines (with the error as
+// label) on a parse failure. A nil observer makes it identical to Read.
 func ReadObserved(r io.Reader, o obs.Observer) (tr *Trace, err error) {
 	sp := obs.StartSpan(o, obs.PhaseTraceParse)
 	defer sp.End()
@@ -87,186 +72,53 @@ func ReadObserved(r io.Reader, o obs.Observer) (tr *Trace, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 
-	var tasks []string
-	var events []Event
-	sawTasks := false
-	lineNo := 0
-
-	parseInt := func(s string) (int64, error) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %q", ErrBadTimestamp, s)
+	var lr *LineReader
+	var evs []Event
+	events := 0
+	for n := 1; sc.Scan(); n++ {
+		var tasks []string
+		if evs, tasks, err = parseLine(sc.Text(), evs[:0]); err != nil {
+			return nil, atLine(n, err)
 		}
-		return v, nil
-	}
-
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		switch {
+		case tasks != nil && lr != nil:
+			return nil, atLine(n, errors.New("trace: duplicate tasks declaration"))
+		case tasks != nil:
+			if lr, err = NewLineReader(tasks); err != nil {
+				return nil, atLine(n, err)
+			}
+			tr = New(tasks)
+		case len(evs) > 0 && lr == nil:
+			return nil, atLine(n, errors.New("trace: event before tasks declaration"))
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "tasks":
-			if sawTasks {
-				return nil, fmt.Errorf("trace: line %d: duplicate tasks declaration", lineNo)
+		for _, ev := range evs {
+			if err = tr.add(lr.Event(ev)); err != nil {
+				return nil, atLine(n, err)
 			}
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("trace: line %d: empty task set", lineNo)
-			}
-			tasks = fields[1:]
-			sawTasks = true
-		case "period":
-			if !sawTasks {
-				return nil, fmt.Errorf("trace: line %d: period before tasks declaration", lineNo)
-			}
-			t := int64(0)
-			if len(events) > 0 {
-				t = events[len(events)-1].Time
-			}
-			events = append(events, Event{Time: t, Kind: PeriodMark})
-		case "exec":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: %w: exec wants NAME START END", lineNo, ErrTruncatedEvent)
-			}
-			start, err := parseInt(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			end, err := parseInt(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			events = append(events,
-				Event{Time: start, Kind: TaskStart, Name: fields[1]},
-				Event{Time: end, Kind: TaskEnd, Name: fields[1]})
-		case "msg":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: %w: msg wants ID RISE FALL", lineNo, ErrTruncatedEvent)
-			}
-			rise, err := parseInt(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			fall, err := parseInt(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			events = append(events,
-				Event{Time: rise, Kind: MsgRise, Name: fields[1]},
-				Event{Time: fall, Kind: MsgFall, Name: fields[1]})
-		case "start", "end", "rise", "fall":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("line %d: %w: %s wants NAME TIME", lineNo, ErrTruncatedEvent, fields[0])
-			}
-			t, err := parseInt(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			var k Kind
-			switch fields[0] {
-			case "start":
-				k = TaskStart
-			case "end":
-				k = TaskEnd
-			case "rise":
-				k = MsgRise
-			case "fall":
-				k = MsgFall
-			}
-			events = append(events, Event{Time: t, Kind: k, Name: fields[1]})
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown directive %q", lineNo, fields[0])
 		}
+		events += len(evs)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if !sawTasks {
-		return nil, fmt.Errorf("trace: missing tasks declaration")
+	if lr == nil {
+		return nil, errors.New("trace: missing tasks declaration")
+	}
+	if err := tr.add(lr.Flush()); err != nil {
+		return nil, err
 	}
 	if o != nil {
-		o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "events_read", Value: int64(len(events))})
-	}
-	return fromOrderedEvents(tasks, events)
-}
-
-// fromOrderedEvents is FromEvents without the time sort: the text
-// format's line order is authoritative, so that periods whose
-// timestamps restart (e.g. per-period clocks) still parse.
-func fromOrderedEvents(tasks []string, events []Event) (*Trace, error) {
-	tr := New(tasks)
-	cur := &Period{Index: 0, Execs: map[string]Interval{}}
-	started := false
-	openStart := map[string]int64{}
-	openRise := map[string]int64{}
-
-	flush := func() error {
-		if len(openStart) > 0 || len(openRise) > 0 {
-			return fmt.Errorf("%w: period %d has %d open task(s) and %d open message(s)",
-				ErrCrossingPeriod, cur.Index, len(openStart), len(openRise))
-		}
-		if started {
-			tr.Periods = append(tr.Periods, cur)
-		}
-		cur = &Period{Index: cur.Index + 1, Execs: map[string]Interval{}}
-		started = false
-		return nil
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case PeriodMark:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			continue
-		case TaskStart:
-			if !tr.HasTask(ev.Name) {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownTask, ev.Name)
-			}
-			if _, dup := cur.Execs[ev.Name]; dup {
-				return nil, fmt.Errorf("%w: %q in period %d", ErrDuplicateExec, ev.Name, cur.Index)
-			}
-			if _, open := openStart[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double start of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openStart[ev.Name] = ev.Time
-		case TaskEnd:
-			st, ok := openStart[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: end of %q without start", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openStart, ev.Name)
-			cur.Execs[ev.Name] = Interval{Start: st, End: ev.Time}
-		case MsgRise:
-			if _, open := openRise[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double rise of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openRise[ev.Name] = ev.Time
-		case MsgFall:
-			rise, ok := openRise[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: fall of %q without rise", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openRise, ev.Name)
-			cur.Msgs = append(cur.Msgs, Message{ID: ev.Name, Rise: rise, Fall: ev.Time})
-		}
-		started = true
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	for i, p := range tr.Periods {
-		p.Index = i
-	}
-	sortMessages(tr)
-	// Per-period clock restarts are allowed in the text format, so
-	// validate everything except global period ordering.
-	if err := tr.validatePeriods(); err != nil {
-		return nil, err
+		o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "events_read", Value: int64(events)})
 	}
 	return tr, nil
+}
+
+// add appends a period a LineReader emitted, if any.
+func (tr *Trace) add(p *Period, err error) error {
+	if p != nil {
+		tr.Periods = append(tr.Periods, p)
+	}
+	return err
 }
 
 // ReadString parses a trace from a string in the text format.

@@ -229,43 +229,33 @@ var (
 
 // Validate checks the structural invariants of the model of
 // computation: known task names, at most one execution per task per
-// period, well-formed intervals and rise-ordered messages with unique
-// labels per period.
+// period, well-formed intervals, rise-ordered messages with unique
+// labels per period, and periods that follow each other in time.
 func (tr *Trace) Validate() error {
-	prevEnd := int64(-1 << 62)
-	for _, p := range tr.Periods {
-		span := p.Span()
-		if len(p.Execs)+len(p.Msgs) > 0 {
-			if span.Start < prevEnd {
-				return fmt.Errorf("%w: period %d starts at %d before previous period ends at %d",
-					ErrUnsortedPeriods, p.Index, span.Start, prevEnd)
-			}
-			prevEnd = span.End
-		}
-	}
-	return tr.validatePeriods()
-}
-
-// validatePeriods runs the per-period checks of Validate without the
-// global period-ordering check, so front ends that allow per-period
-// clock restarts (the text format) can still enforce everything else.
-func (tr *Trace) validatePeriods() error {
 	known := make(map[string]bool, len(tr.Tasks))
 	for _, t := range tr.Tasks {
 		known[t] = true
 	}
+	prevEnd := int64(-1 << 62)
 	for _, p := range tr.Periods {
 		if err := validateOnePeriod(p, known); err != nil {
 			return err
 		}
+		if len(p.Execs)+len(p.Msgs) == 0 {
+			continue
+		}
+		span := p.Span()
+		if span.Start < prevEnd {
+			return fmt.Errorf("%w: period %d starts at %d before previous period ends at %d",
+				ErrUnsortedPeriods, p.Index, span.Start, prevEnd)
+		}
+		prevEnd = span.End
 	}
 	return nil
 }
 
-// validateOnePeriod runs the per-period structural checks of Validate
-// on one period, against the known task-name set. It is shared with
-// the incremental LineReader, which validates each period as it is
-// cut.
+// validateOnePeriod runs the per-period checks of Validate against the
+// known task-name set; the LineReader runs them on each period it cuts.
 func validateOnePeriod(p *Period, known map[string]bool) error {
 	for t, iv := range p.Execs {
 		if !known[t] {
@@ -297,82 +287,23 @@ func validateOnePeriod(p *Period, known map[string]bool) error {
 
 // FromEvents assembles a trace from a raw event stream over the given
 // task set. Events are sorted by time (stably, so the original order
-// breaks ties). Periods are delimited by PeriodMark events: each mark
-// begins a new period. Events before the first mark form period 0
-// unless the stream begins with a mark.
+// breaks ties) and cut by a LineReader: each PeriodMark begins a new
+// period, and events before the first mark form period 0 unless the
+// stream begins with a mark. The result passes Validate, so unlike
+// Read, periods must also follow each other in time.
 func FromEvents(tasks []string, events []Event) (*Trace, error) {
 	evs := append([]Event(nil), events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
-
+	lr := newLineReader(tasks)
 	tr := New(tasks)
-	cur := &Period{Index: 0, Execs: map[string]Interval{}}
-	started := false // any non-mark event seen in cur
-	openStart := map[string]int64{}
-	openRise := map[string]int64{}
-
-	flush := func() error {
-		if len(openStart) > 0 || len(openRise) > 0 {
-			return fmt.Errorf("%w: period %d has %d open task(s) and %d open message(s)",
-				ErrCrossingPeriod, cur.Index, len(openStart), len(openRise))
-		}
-		if started {
-			tr.Periods = append(tr.Periods, cur)
-		}
-		cur = &Period{Index: cur.Index + 1, Execs: map[string]Interval{}}
-		started = false
-		return nil
-	}
-
 	for _, ev := range evs {
-		switch ev.Kind {
-		case PeriodMark:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			continue
-		case TaskStart:
-			if !tr.HasTask(ev.Name) {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownTask, ev.Name)
-			}
-			if _, dup := cur.Execs[ev.Name]; dup {
-				return nil, fmt.Errorf("%w: %q in period %d", ErrDuplicateExec, ev.Name, cur.Index)
-			}
-			if _, open := openStart[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double start of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openStart[ev.Name] = ev.Time
-		case TaskEnd:
-			st, ok := openStart[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: end of %q without start", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openStart, ev.Name)
-			cur.Execs[ev.Name] = Interval{Start: st, End: ev.Time}
-		case MsgRise:
-			if _, open := openRise[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double rise of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openRise[ev.Name] = ev.Time
-		case MsgFall:
-			rise, ok := openRise[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: fall of %q without rise", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openRise, ev.Name)
-			cur.Msgs = append(cur.Msgs, Message{ID: ev.Name, Rise: rise, Fall: ev.Time})
-		default:
-			return nil, fmt.Errorf("trace: invalid event kind %d", ev.Kind)
+		if err := tr.add(lr.Event(ev)); err != nil {
+			return nil, err
 		}
-		started = true
 	}
-	if err := flush(); err != nil {
+	if err := tr.add(lr.Flush()); err != nil {
 		return nil, err
 	}
-	// Reindex periods densely from zero.
-	for i, p := range tr.Periods {
-		p.Index = i
-	}
-	sortMessages(tr)
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
@@ -405,47 +336,43 @@ func FromEventsPeriodic(tasks []string, events []Event, origin, periodLen int64)
 }
 
 // Events flattens the trace back into a time-sorted event stream with
-// PeriodMark events at each period boundary (including before the
-// first period).
+// a PeriodMark at the start of each period. Within a period, events at
+// the same time come mark first, then starts and rises, then ends and
+// falls, so zero-length executions and transmissions pair up; a period
+// that starts as the previous one ends keeps that period's events
+// before its mark. FromEvents over the stream of a trace that passes
+// Validate rebuilds the trace.
 func (tr *Trace) Events() []Event {
 	var out []Event
 	for _, p := range tr.Periods {
-		span := p.Span()
-		out = append(out, Event{Time: span.Start, Kind: PeriodMark})
+		from := len(out)
+		out = append(out, Event{Time: p.Span().Start, Kind: PeriodMark})
 		for t, iv := range p.Execs {
-			out = append(out, Event{Time: iv.Start, Kind: TaskStart, Name: t})
-			out = append(out, Event{Time: iv.End, Kind: TaskEnd, Name: t})
+			out = append(out, Event{Time: iv.Start, Kind: TaskStart, Name: t}, Event{Time: iv.End, Kind: TaskEnd, Name: t})
 		}
 		for _, m := range p.Msgs {
-			out = append(out, Event{Time: m.Rise, Kind: MsgRise, Name: m.ID})
-			out = append(out, Event{Time: m.Fall, Kind: MsgFall, Name: m.ID})
+			out = append(out, Event{Time: m.Rise, Kind: MsgRise, Name: m.ID}, Event{Time: m.Fall, Kind: MsgFall, Name: m.ID})
 		}
+		pe := out[from:]
+		sort.SliceStable(pe, func(i, j int) bool {
+			if pe[i].Time != pe[j].Time {
+				return pe[i].Time < pe[j].Time
+			}
+			return eventRank(pe[i]) < eventRank(pe[j])
+		})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return eventRank(out[i]) < eventRank(out[j])
-	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
 
-// eventRank breaks timestamp ties so that period marks come first,
-// then ends/falls (completions), then starts/rises.
 func eventRank(ev Event) int {
 	switch ev.Kind {
 	case PeriodMark:
 		return 0
 	case TaskEnd, MsgFall:
-		return 1
-	default:
 		return 2
-	}
-}
-
-func sortMessages(tr *Trace) {
-	for _, p := range tr.Periods {
-		sort.SliceStable(p.Msgs, func(i, j int) bool { return p.Msgs[i].Rise < p.Msgs[j].Rise })
+	default:
+		return 1
 	}
 }
 
@@ -471,7 +398,7 @@ func (b *Builder) StartPeriod() *Builder {
 
 func (b *Builder) closePeriod() {
 	if b.cur != nil {
-		sort.SliceStable(b.cur.Msgs, func(i, j int) bool { return b.cur.Msgs[i].Rise < b.cur.Msgs[j].Rise })
+		sortPeriodMessages(b.cur)
 		b.tr.Periods = append(b.tr.Periods, b.cur)
 		b.cur = nil
 	}

@@ -257,7 +257,9 @@ exec a 0 5
 func TestReadErrors(t *testing.T) {
 	cases := []string{
 		"period\nexec a 0 1\n",            // period before tasks
+		"exec a 0 1\ntasks a\n",           // event before tasks
 		"tasks a\ntasks b\n",              // duplicate tasks
+		"tasks a a\n",                     // duplicate task name
 		"tasks\n",                         // empty task set
 		"tasks a\nexec a zero 1\n",        // bad number
 		"tasks a\nexec a 0\n",             // arity
@@ -266,10 +268,16 @@ func TestReadErrors(t *testing.T) {
 		"tasks a\nbogus x\n",              // unknown directive
 		"tasks a\nexec b 0 1\n",           // unknown task
 		"tasks a\nexec a 0 1\nexec a 2 3", // duplicate exec
+		"# only a comment\n",              // missing tasks
 	}
 	for i, in := range cases {
-		if _, err := ReadString(in); err == nil {
+		_, err := ReadString(in)
+		if err == nil {
 			t.Errorf("case %d: no error for %q", i, in)
+			continue
+		}
+		if n := strings.Count(err.Error(), "trace:"); n != 1 {
+			t.Errorf("case %d: error %q has %d \"trace:\" prefixes, want 1", i, err, n)
 		}
 	}
 }
